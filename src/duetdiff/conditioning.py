@@ -14,15 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import (
-    ChannelNorm,
-    Conv2dLayer,
-    LayerNormAffine,
-    Linear,
-    TransformerBlock,
-    collect_params,
-    trunc_normal,
-)
+from .nn import Conv2dLayer, LayerNormAffine, Linear, TransformerBlock, trunc_normal
 from .rng import Rng
 from .tensor import Tensor, add, concat, mul, reshape, silu, transpose
 
@@ -86,9 +78,6 @@ class PromptEncoder:
         ids = np.stack([self.vocab.encode(p) for p in prompts])
         return Tensor(self.table[ids])
 
-    def encode_one(self, prompt: list[str]) -> Tensor:
-        return Tensor(self.table[self.vocab.encode(prompt)])
-
 
 class ImageEncoder:
     """Conv stack: stride-2 residual blocks, an output conv, a linear head.
@@ -130,22 +119,13 @@ class ImageEncoder:
             raise ValueError("image encoder expects (N, C, H, W)")
         n, _, h, w = x.shape
         tokens = self.token_count(h, w)
+        x = transpose(x, (0, 2, 3, 1))
         for blk in self.blocks:
             hidden = blk["conv2"](silu(blk["conv1"](x)))
             x = silu(add(hidden, blk["skip"](x)))
         x = self.out_layer(x)
-        x = transpose(x, (0, 2, 3, 1))
         x = reshape(x, (n, tokens, self.out_channels))
         return self.proj(x)
-
-    def params(self, prefix: str) -> dict:
-        out = {}
-        for i, blk in enumerate(self.blocks):
-            for name, layer in blk.items():
-                out.update(layer.params(f"{prefix}.block{i}.{name}"))
-        out.update(self.out_layer.params(f"{prefix}.out_layer"))
-        out.update(self.proj.params(f"{prefix}.proj"))
-        return out
 
 
 class FusionTransformer:
@@ -171,13 +151,6 @@ class FusionTransformer:
         for layer in self.layers:
             x = layer(x)
         return self.final_norm(x)
-
-    def params(self, prefix: str) -> dict:
-        out = {f"{prefix}.pos": self.pos}
-        for i, layer in enumerate(self.layers):
-            out.update(layer.params(f"{prefix}.layer{i}"))
-        out.update(self.final_norm.params(f"{prefix}.final_norm"))
-        return out
 
 
 class Conditioner:
@@ -263,15 +236,3 @@ class Conditioner:
         inv_i = Tensor(image_dropped.astype(self.dtype)[:, None, None])
         image_out = add(mul(image_emb, keep_i), mul(self.null_image_batch(batch), inv_i))
         return text_out, image_out, (text_dropped, image_dropped)
-
-    # -- registries ---------------------------------------------------------
-
-    def params(self, prefix: str = "cond") -> dict:
-        out = {}
-        out.update(self.image_encoder.params(f"{prefix}.image_encoder"))
-        out.update(self.fusion.params(f"{prefix}.fusion"))
-        out[f"{prefix}.null_image"] = self.null_image
-        return out
-
-    def buffers(self, prefix: str = "cond") -> dict:
-        return {f"{prefix}.prompt_table": self.prompt_encoder.table}

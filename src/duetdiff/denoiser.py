@@ -4,6 +4,10 @@ and cross-attention from spatial tokens to the joint condition embedding.
 The condition enters only through cross-attention (never by concatenation
 with the noisy input); timestep features are added inside every residual
 block. The final convolution starts at zero so the initial prediction is 0.
+
+Inputs and outputs are (N, C, H, W); inside, every feature map is
+channels-last, (N, H, W, C), so the only layout changes are the transposes
+where ``Denoiser.__call__`` starts and ends.
 """
 
 from __future__ import annotations
@@ -13,14 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import (
-    ChannelNorm,
     Conv2dLayer,
     CrossAttention,
     LayerNormAffine,
     Linear,
     Mlp,
     SelfAttention,
-    collect_params,
     timestep_embedding,
 )
 from .rng import Rng
@@ -46,27 +48,19 @@ class ResBlock:
     """norm-silu-conv twice, timestep features added between, residual skip."""
 
     def __init__(self, rng: Rng, c_in: int, c_out: int, temb_dim: int, dtype=np.float32):
-        self.norm1 = ChannelNorm(c_in, dtype=dtype)
+        self.norm1 = LayerNormAffine(c_in, dtype=dtype)
         self.conv1 = Conv2dLayer(rng.split("conv1"), c_in, c_out, 3, padding=1, dtype=dtype)
         self.time_proj = Linear(rng.split("time"), temb_dim, c_out, dtype=dtype)
-        self.norm2 = ChannelNorm(c_out, dtype=dtype)
+        self.norm2 = LayerNormAffine(c_out, dtype=dtype)
         self.conv2 = Conv2dLayer(rng.split("conv2"), c_out, c_out, 3, padding=1, dtype=dtype)
         self.skip = None if c_in == c_out else Conv2dLayer(rng.split("skip"), c_in, c_out, 1, dtype=dtype)
 
     def __call__(self, x: Tensor, temb: Tensor) -> Tensor:
         h = self.conv1(silu(self.norm1(x)))
         t = self.time_proj(silu(temb))
-        h = add(h, reshape(t, t.shape + (1, 1)))
+        h = add(h, reshape(t, (t.shape[0], 1, 1, t.shape[1])))
         h = self.conv2(silu(self.norm2(h)))
         return add(h, x if self.skip is None else self.skip(x))
-
-    def params(self, prefix: str) -> dict:
-        layers = {f"{prefix}.norm1": self.norm1, f"{prefix}.conv1": self.conv1,
-                  f"{prefix}.time": self.time_proj, f"{prefix}.norm2": self.norm2,
-                  f"{prefix}.conv2": self.conv2}
-        if self.skip is not None:
-            layers[f"{prefix}.skip"] = self.skip
-        return collect_params(layers)
 
 
 class SpatialAttnBlock:
@@ -82,19 +76,12 @@ class SpatialAttnBlock:
         self.mlp = Mlp(rng.split("mlp"), channels, 4 * channels, dtype=dtype)
 
     def __call__(self, x: Tensor, cond: Tensor) -> Tensor:
-        n, c, h, w = x.shape
-        tokens = reshape(transpose(x, (0, 2, 3, 1)), (n, h * w, c))
+        n, h, w, c = x.shape
+        tokens = reshape(x, (n, h * w, c))
         tokens = add(tokens, self.self_attn(self.norm1(tokens)))
         tokens = add(tokens, self.cross_attn(self.norm2(tokens), cond))
         tokens = add(tokens, self.mlp(self.norm3(tokens)))
-        return transpose(reshape(tokens, (n, h, w, c)), (0, 3, 1, 2))
-
-    def params(self, prefix: str) -> dict:
-        return collect_params({
-            f"{prefix}.norm1": self.norm1, f"{prefix}.self": self.self_attn,
-            f"{prefix}.norm2": self.norm2, f"{prefix}.cross": self.cross_attn,
-            f"{prefix}.norm3": self.norm3, f"{prefix}.mlp": self.mlp,
-        })
+        return reshape(tokens, (n, h, w, c))
 
 
 class Denoiser:
@@ -162,7 +149,7 @@ class Denoiser:
                 res *= 2
             self.up.append({"blocks": blocks, "up": up_conv})
 
-        self.out_norm = ChannelNorm(chans[0], dtype=dtype)
+        self.out_norm = LayerNormAffine(chans[0], dtype=dtype)
         self.out_conv = Conv2dLayer(rng.split("out_conv"), chans[0], config.in_channels, 3,
                                     padding=1, dtype=dtype, zero_init=True)
 
@@ -179,7 +166,7 @@ class Denoiser:
             raise ValueError(f"t batch {t_arr.shape} != input batch {x.shape[0]}")
         temb = self.time_features(t_arr)
 
-        h = self.in_conv(x)
+        h = self.in_conv(transpose(x, (0, 2, 3, 1)))
         skips = []
         for lvl, stage in enumerate(self.down):
             for entry in stage["blocks"]:
@@ -195,7 +182,7 @@ class Denoiser:
         h = self.mid_res2(h, temb)
 
         for stage in self.up:
-            h = concat([h, skips.pop()], axis=1)
+            h = concat([h, skips.pop()], axis=-1)
             for b, entry in enumerate(stage["blocks"]):
                 h = entry["res"](h, temb)
                 if "attn" in entry:
@@ -203,31 +190,4 @@ class Denoiser:
             if stage["up"] is not None:
                 h = stage["up"](upsample2x(h))
 
-        return self.out_conv(silu(self.out_norm(h)))
-
-    def params(self, prefix: str = "denoiser") -> dict:
-        out = {}
-        out.update(self.time_fc1.params(f"{prefix}.time_fc1"))
-        out.update(self.time_fc2.params(f"{prefix}.time_fc2"))
-        out.update(self.in_conv.params(f"{prefix}.in_conv"))
-        for lvl, stage in enumerate(self.down):
-            for b, entry in enumerate(stage["blocks"]):
-                out.update(entry["res"].params(f"{prefix}.down{lvl}.res{b}"))
-                if "attn" in entry:
-                    out.update(entry["attn"].params(f"{prefix}.down{lvl}.attn{b}"))
-            if stage["down"] is not None:
-                out.update(stage["down"].params(f"{prefix}.down{lvl}.down"))
-        out.update(self.mid_res1.params(f"{prefix}.mid.res1"))
-        out.update(self.mid_attn.params(f"{prefix}.mid.attn"))
-        out.update(self.mid_res2.params(f"{prefix}.mid.res2"))
-        for i, stage in enumerate(self.up):
-            lvl = len(self.up) - 1 - i
-            for b, entry in enumerate(stage["blocks"]):
-                out.update(entry["res"].params(f"{prefix}.up{lvl}.res{b}"))
-                if "attn" in entry:
-                    out.update(entry["attn"].params(f"{prefix}.up{lvl}.attn{b}"))
-            if stage["up"] is not None:
-                out.update(stage["up"].params(f"{prefix}.up{lvl}.up"))
-        out.update(self.out_norm.params(f"{prefix}.out_norm"))
-        out.update(self.out_conv.params(f"{prefix}.out_conv"))
-        return out
+        return transpose(self.out_conv(silu(self.out_norm(h))), (0, 3, 1, 2))

@@ -2,6 +2,10 @@
 
 Everything trainable is reachable through one named parameter registry, so
 the optimizer and the checkpoint format share a single source of truth.
+``nn.named_params`` builds it by walking attributes: a name is the
+attribute path under ``cond`` or ``denoiser``, with list indices and dict
+keys as segments (``denoiser.down.1.blocks.0.attn.cross_attn.q.w``). Conv
+kernels are stored channels-last, (kh, kw, C_in, C_out).
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import numpy as np
 from .conditioning import DEFAULT_TOKENS, Conditioner, PromptVocab
 from .denoiser import Denoiser, DenoiserConfig
 from .diffusion import NoiseSchedule, linear_schedule
+from .nn import named_params
 from .rng import Rng
 from .tensor import Tensor, reshape
 
@@ -52,16 +57,6 @@ class ModelConfig:
         return cls(**data)
 
 
-# full-size preset mirroring the published fusion-module dimensions; far too
-# large to train here, but constructible for architecture experiments
-LARGE_FUSION_PRESET = {
-    "d_embed": 768,
-    "fusion_layers": 6,
-    "fusion_heads": 8,
-    "fusion_hidden": 3072,
-}
-
-
 class DiffusionModel:
     """Conditioned denoiser with its schedule, vocab, and parameter registry."""
 
@@ -98,31 +93,33 @@ class DiffusionModel:
     # -- registries ---------------------------------------------------------
 
     def params(self) -> dict[str, Tensor]:
-        out = self.conditioner.params("cond")
-        out.update(self.denoiser.params("denoiser"))
-        return out
+        return {**named_params(self.conditioner, "cond"), **named_params(self.denoiser, "denoiser")}
 
     def buffers(self) -> dict[str, np.ndarray]:
-        return self.conditioner.buffers("cond")
+        return named_params(self.conditioner, "cond", kind=np.ndarray)
 
     def param_count(self) -> int:
         return sum(p.size for p in self.params().values())
 
     def load_tensors(self, tensors: dict[str, np.ndarray]) -> None:
-        """Copy named arrays into parameters and frozen buffers."""
-        params = self.params()
-        for name, param in params.items():
+        """Copy named arrays into parameters and frozen buffers.
+
+        Every entry is checked before any is copied: a missing, mis-shaped
+        or non-finite entry raises with its name and leaves the model as it
+        was. Names the model does not register are ignored.
+        """
+        targets = {name: p.data for name, p in self.params().items()}
+        targets.update(self.buffers())
+        for name, dst in targets.items():
             if name not in tensors:
-                raise KeyError(f"checkpoint missing parameter '{name}'")
-            arr = tensors[name]
-            if tuple(arr.shape) != tuple(param.shape):
-                raise ValueError(f"shape mismatch for '{name}': {arr.shape} vs {param.shape}")
-            param.data[...] = arr.astype(param.data.dtype)
-        table = self.conditioner.prompt_encoder.table
-        frozen = tensors.get("cond.prompt_table")
-        if frozen is None:
-            raise KeyError("checkpoint missing buffer 'cond.prompt_table'")
-        table[...] = frozen.astype(table.dtype)
+                raise KeyError(f"checkpoint missing '{name}'")
+            src = np.asarray(tensors[name])
+            if src.shape != dst.shape:
+                raise ValueError(f"shape mismatch for '{name}': {src.shape} vs {dst.shape}")
+            if not np.all(np.isfinite(src)):
+                raise ValueError(f"non-finite values in '{name}'")
+        for name, dst in targets.items():
+            dst[...] = tensors[name]
 
     # -- prediction ---------------------------------------------------------
 

@@ -2,8 +2,9 @@
 
 Weights initialize to truncated normal (std 0.02, resampled outside two
 standard deviations); biases and gains follow the usual zero/one
-conventions. Every layer exposes ``params(prefix)`` for the optimizer and
-checkpoint registries.
+conventions. Feature maps are channels-last, (N, H, W, C), so per-channel
+layers act on the trailing axis. Layers declare no registry of their own:
+``named_params`` finds every parameter by walking the attributes.
 """
 
 from __future__ import annotations
@@ -15,14 +16,12 @@ from .tensor import (
     Tensor,
     add,
     attention,
-    conv2d,
+    conv2d_nhwc,
     layer_norm,
     matmul,
     mul,
-    reshape,
     silu,
     slice_axis,
-    transpose,
 )
 
 
@@ -54,27 +53,25 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         return add(matmul(x, self.w), self.b)
 
-    def params(self, prefix: str) -> dict:
-        return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
-
 
 class Conv2dLayer:
+    """Channels-last conv; ``w`` is (kh, kw, C_in, C_out), ``b`` is (C_out,)."""
+
     def __init__(self, rng: Rng, c_in: int, c_out: int, kernel: int,
                  stride: int = 1, padding: int = 0, dtype=np.float32, zero_init: bool = False):
         if zero_init:
-            w = np.zeros((c_out, c_in, kernel, kernel), dtype=dtype)
+            w = np.zeros((kernel, kernel, c_in, c_out), dtype=dtype)
         else:
+            # the seed stream fills (C_out, C_in, kh, kw) order; stored channels-last
             w = trunc_normal(rng, (c_out, c_in, kernel, kernel), dtype=dtype)
+            w = np.ascontiguousarray(w.transpose(2, 3, 1, 0))
         self.w = _param(w)
-        self.b = _param(np.zeros((c_out, 1, 1), dtype=dtype))
+        self.b = _param(np.zeros(c_out, dtype=dtype))
         self.stride = stride
         self.padding = padding
 
     def __call__(self, x: Tensor) -> Tensor:
-        return add(conv2d(x, self.w, stride=self.stride, padding=self.padding), self.b)
-
-    def params(self, prefix: str) -> dict:
-        return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
+        return add(conv2d_nhwc(x, self.w, stride=self.stride, padding=self.padding), self.b)
 
 
 class LayerNormAffine:
@@ -86,25 +83,6 @@ class LayerNormAffine:
 
     def __call__(self, x: Tensor) -> Tensor:
         return add(mul(layer_norm(x), self.gain), self.bias)
-
-    def params(self, prefix: str) -> dict:
-        return {f"{prefix}.gain": self.gain, f"{prefix}.bias": self.bias}
-
-
-class ChannelNorm:
-    """LayerNormAffine over the channel axis of NCHW feature maps."""
-
-    def __init__(self, channels: int, dtype=np.float32):
-        self.norm = LayerNormAffine(channels, dtype=dtype)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        if x.ndim != 4:
-            raise ValueError("ChannelNorm expects (N, C, H, W)")
-        moved = transpose(x, (0, 2, 3, 1))
-        return transpose(self.norm(moved), (0, 3, 1, 2))
-
-    def params(self, prefix: str) -> dict:
-        return self.norm.params(prefix)
 
 
 class SelfAttention:
@@ -120,9 +98,6 @@ class SelfAttention:
         k = slice_axis(qkv, -1, self.dim, 2 * self.dim)
         v = slice_axis(qkv, -1, 2 * self.dim, 3 * self.dim)
         return self.out(attention(q, k, v, self.n_heads))
-
-    def params(self, prefix: str) -> dict:
-        return {**self.qkv.params(f"{prefix}.qkv"), **self.out.params(f"{prefix}.out")}
 
 
 class CrossAttention:
@@ -141,12 +116,6 @@ class CrossAttention:
         v = self.v(context)
         return self.out(attention(q, k, v, self.n_heads))
 
-    def params(self, prefix: str) -> dict:
-        out = {}
-        for name, layer in (("q", self.q), ("k", self.k), ("v", self.v), ("out", self.out)):
-            out.update(layer.params(f"{prefix}.{name}"))
-        return out
-
 
 class Mlp:
     def __init__(self, rng: Rng, dim: int, hidden: int, dtype=np.float32):
@@ -155,9 +124,6 @@ class Mlp:
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(silu(self.fc1(x)))
-
-    def params(self, prefix: str) -> dict:
-        return {**self.fc1.params(f"{prefix}.fc1"), **self.fc2.params(f"{prefix}.fc2")}
 
 
 class TransformerBlock:
@@ -172,14 +138,6 @@ class TransformerBlock:
     def __call__(self, x: Tensor) -> Tensor:
         x = add(x, self.attn(self.norm1(x)))
         return add(x, self.mlp(self.norm2(x)))
-
-    def params(self, prefix: str) -> dict:
-        out = {}
-        out.update(self.norm1.params(f"{prefix}.norm1"))
-        out.update(self.attn.params(f"{prefix}.attn"))
-        out.update(self.norm2.params(f"{prefix}.norm2"))
-        out.update(self.mlp.params(f"{prefix}.mlp"))
-        return out
 
 
 def timestep_embedding(t, dim: int, dtype=np.float32) -> np.ndarray:
@@ -198,9 +156,26 @@ def timestep_embedding(t, dim: int, dtype=np.float32) -> np.ndarray:
     return emb.astype(dtype)
 
 
-def collect_params(layers: dict) -> dict:
-    """Merge {prefix: layer} into one flat name -> Tensor dict."""
+def named_params(obj, prefix: str, kind=Tensor) -> dict:
+    """name -> leaf of type ``kind`` reachable from ``obj``, in attribute order.
+
+    Names are attribute paths joined by dots; list indices and dict keys
+    are path segments. The walk descends into duetdiff objects, lists,
+    tuples and dicts only, and never into a Tensor or an array.
+    """
+    if isinstance(obj, kind):
+        return {prefix: obj}
+    if isinstance(obj, (Tensor, np.ndarray)):
+        return {}
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    elif type(obj).__module__.startswith("duetdiff."):
+        items = vars(obj).items()
+    else:
+        return {}
     out = {}
-    for prefix, layer in layers.items():
-        out.update(layer.params(prefix))
+    for key, value in items:
+        out.update(named_params(value, f"{prefix}.{key}", kind))
     return out

@@ -97,9 +97,6 @@ class Tensor:
             raise ShapeError("item() needs a single-element tensor")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
@@ -437,12 +434,12 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     return out
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, w_out: Tensor | None = None) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     """Multi-head scaled dot-product attention over given projections.
 
     q is (L_q, d) or (B, L_q, d); k and v share (.., L_k, d). Heads are
     split from d, attended independently with scale 1/sqrt(d/n_heads), and
-    concatenated; pass ``w_out`` (d, d) to apply an output projection.
+    concatenated.
     """
     d = q.shape[-1]
     if d % n_heads:
@@ -468,8 +465,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, w_out: Tensor | Non
     weights = softmax(scores, axis=-1)
     out = matmul(weights, vh)
     out = reshape(transpose(out, (0, 2, 1, 3)), (b, lq, d))
-    if w_out is not None:
-        out = matmul(out, w_out)
     if squeeze:
         out = reshape(out, (lq, d))
     return out
@@ -573,13 +568,14 @@ def _spread(g: np.ndarray, shape: tuple, axis, keepdims: bool) -> np.ndarray:
 
 
 def upsample2x(x: Tensor) -> Tensor:
-    """Nearest-neighbour 2x upsampling of the trailing two axes."""
-    out = x.data.repeat(2, axis=-2).repeat(2, axis=-1)
+    """Nearest-neighbour 2x upsampling of H and W in channels-last (.., H, W, C)."""
+    if x.ndim < 3:
+        raise ShapeError("upsample2x: input must be (.., H, W, C)")
+    out = x.data.repeat(2, axis=-3).repeat(2, axis=-2)
 
     def vjp(g, live):
-        lead = g.shape[:-2]
-        h2, w2 = g.shape[-2], g.shape[-1]
-        return (g.reshape(lead + (h2 // 2, 2, w2 // 2, 2)).sum(axis=(-1, -3)),)
+        *lead, h2, w2, c = g.shape
+        return (g.reshape((*lead, h2 // 2, 2, w2 // 2, 2, c)).sum(axis=(-2, -4)),)
 
     return _record("upsample2x", out, (x,), vjp, check=False)
 

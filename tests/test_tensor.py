@@ -14,6 +14,7 @@ from duetdiff.tensor import (
     attention,
     concat,
     conv2d,
+    conv2d_nhwc,
     gaussian,
     layer_norm,
     matmul,
@@ -115,6 +116,16 @@ def test_conv2d_output_extent():
     assert out.shape == (4, 8, 8)
 
 
+def test_conv2d_adapter_equals_nhwc_kernel_on_transposed_operands():
+    rng = Rng(5)
+    x = _rand(rng, (2, 3, 8, 8))
+    w = _rand(rng, (4, 3, 4, 4))
+    ref = conv2d(Tensor(x), Tensor(w), stride=2, padding=1).data
+    out = conv2d_nhwc(Tensor(x.transpose(0, 2, 3, 1)), Tensor(w.transpose(2, 3, 1, 0)),
+                      stride=2, padding=1).data
+    assert np.array_equal(out.transpose(0, 3, 1, 2), ref)
+
+
 def test_conv2d_non_integral_extent_rejected():
     x = Tensor(np.ones((1, 16, 16)))
     w = Tensor(np.ones((1, 1, 3, 3)))
@@ -148,10 +159,11 @@ def test_attention_head_divisibility():
 
 
 def test_upsample2x_values():
-    x = Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
+    x = Tensor(np.array([[[1.0, 10.0], [2.0, 20.0]], [[3.0, 30.0], [4.0, 40.0]]]))
     out = upsample2x(x)
-    assert out.shape == (1, 4, 4)
-    assert np.array_equal(out.data[0, :2, :2], [[1.0, 1.0], [1.0, 1.0]])
+    assert out.shape == (4, 4, 2)
+    assert np.array_equal(out.data[:2, :2, 0], [[1.0, 1.0], [1.0, 1.0]])
+    assert np.array_equal(out.data[2:, 2:, 1], [[40.0, 40.0], [40.0, 40.0]])
 
 
 def test_gaussian_deterministic():
@@ -302,17 +314,27 @@ def test_grad_softmax(case):
     assert err <= 1e-5
 
 
-@pytest.mark.parametrize("case", range(20))
+@pytest.mark.parametrize("case", range(28))
 def test_grad_conv2d(case):
+    # cases 0-19: the CHW adapter; 20-27: the batched channels-last kernel,
+    # with stride 2 in every other case
     rng = Rng(700 + case)
-    stride = 1 + int(rng.integers(1, 2)[0])
-    pad = int(rng.integers(1, 2)[0])
-    x = _rand(rng, (2, 8, 8))
-    kh = 3 if (8 + 2 * pad - 3) % stride == 0 else 2
-    w = _rand(rng, (3, 2, kh, kh))
+    if case < 20:
+        stride = 1 + int(rng.integers(1, 2)[0])
+        pad = int(rng.integers(1, 2)[0])
+        x = _rand(rng, (2, 8, 8))
+        kh = 3 if (8 + 2 * pad - 3) % stride == 0 else 2
+        w = _rand(rng, (3, 2, kh, kh))
+        op = conv2d
+    else:
+        stride, pad = 1 + case % 2, int(rng.integers(1, 2)[0])
+        x = _rand(rng, (2, 6, 6, 3))
+        kh = 3 if (6 + 2 * pad - 3) % stride == 0 else 4
+        w = _rand(rng, (kh, kh, 3, 2))
+        op = conv2d_nhwc
 
     def build(ts):
-        return _weighted(rng.split("w"), conv2d(ts[0], ts[1], stride=stride, padding=pad))
+        return _weighted(rng.split("w"), op(ts[0], ts[1], stride=stride, padding=pad))
 
     assert _grad_check(build, [x, w], 1e-5) <= 1e-5
 
@@ -340,8 +362,8 @@ def test_grad_shape_ops(case):
         t = reshape(t, (4, 6))
         t = concat([t, t], axis=1)
         t = slice_axis(t, 1, 2, 9)
-        t = upsample2x(t)
-        return _weighted(rng.split("w"), tmean(t, axis=0, keepdims=True))
+        t = upsample2x(reshape(t, (2, 7, 2)))
+        return _weighted(rng.split("w"), tmean(t, axis=-1, keepdims=True))
 
     assert _grad_check(build, [x], 1e-5) <= 1e-5
 
