@@ -54,7 +54,7 @@ class PromptVocab:
         return ids
 
 
-def frozen_orthogonal_table(rng: Rng, vocab_size: int, d_embed: int, dtype=np.float32) -> np.ndarray:
+def frozen_orthogonal_table(rng: Rng, vocab_size: int, d_embed: int, dtype=np.float64) -> np.ndarray:
     """Random table with orthonormal rows (modified Gram-Schmidt at 64-bit)."""
     if vocab_size > d_embed:
         raise ValueError("orthonormal rows need vocab_size <= d_embed")
@@ -63,20 +63,20 @@ def frozen_orthogonal_table(rng: Rng, vocab_size: int, d_embed: int, dtype=np.fl
         for j in range(i):
             raw[i] -= np.dot(raw[i], raw[j]) * raw[j]
         raw[i] /= np.linalg.norm(raw[i])
-    return raw.astype(dtype)
+    return raw.astype(dtype, copy=False)
 
 
 class PromptEncoder:
     """Frozen lookup table; gradients never reach it."""
 
-    def __init__(self, rng: Rng, vocab: PromptVocab, d_embed: int, dtype=np.float32):
+    def __init__(self, rng: Rng, vocab: PromptVocab, d_embed: int):
         self.vocab = vocab
-        self.table = frozen_orthogonal_table(rng, len(vocab), d_embed, dtype=dtype)
+        self.table = Tensor(frozen_orthogonal_table(rng, len(vocab), d_embed))
 
     def __call__(self, prompts: list[list[str]]) -> Tensor:
         """(B, text_len, d) constant embedding for a batch of token lists."""
         ids = np.stack([self.vocab.encode(p) for p in prompts])
-        return Tensor(self.table[ids])
+        return Tensor(self.table.data[ids])
 
 
 class ImageEncoder:
@@ -87,21 +87,21 @@ class ImageEncoder:
     """
 
     def __init__(self, rng: Rng, in_channels: int = 1, channels: tuple[int, ...] = (16, 32),
-                 out_channels: int = 32, d_embed: int = 64, dtype=np.float32):
+                 out_channels: int = 32, d_embed: int = 64):
         self.channels = tuple(channels)
         self.blocks = []
         c_prev = in_channels
         for i, c in enumerate(self.channels):
             r = rng.split(f"block{i}")
             self.blocks.append({
-                "conv1": Conv2dLayer(r.split("conv1"), c_prev, c, 4, stride=2, padding=1, dtype=dtype),
-                "conv2": Conv2dLayer(r.split("conv2"), c, c, 3, stride=1, padding=1, dtype=dtype),
-                "skip": Conv2dLayer(r.split("skip"), c_prev, c, 2, stride=2, padding=0, dtype=dtype),
+                "conv1": Conv2dLayer(r.split("conv1"), c_prev, c, 4, stride=2, padding=1),
+                "conv2": Conv2dLayer(r.split("conv2"), c, c, 3, stride=1, padding=1),
+                "skip": Conv2dLayer(r.split("skip"), c_prev, c, 2, stride=2, padding=0),
             })
             c_prev = c
         self.out_layer = Conv2dLayer(rng.split("out_layer"), c_prev, out_channels, 3,
-                                     stride=1, padding=1, dtype=dtype)
-        self.proj = Linear(rng.split("proj"), out_channels, d_embed, dtype=dtype)
+                                     stride=1, padding=1)
+        self.proj = Linear(rng.split("proj"), out_channels, d_embed)
         self.out_channels = out_channels
         self.d_embed = d_embed
 
@@ -132,15 +132,14 @@ class FusionTransformer:
     """Pre-norm transformer over the concatenated text+image tokens."""
 
     def __init__(self, rng: Rng, seq_len: int, d_embed: int, n_layers: int,
-                 n_heads: int, d_hidden: int, dtype=np.float32):
+                 n_heads: int, d_hidden: int):
         self.seq_len = seq_len
-        self.pos = Tensor(trunc_normal(rng.split("pos"), (seq_len, d_embed), dtype=dtype),
-                          requires_grad=True)
+        self.pos = Tensor(trunc_normal(rng.split("pos"), (seq_len, d_embed)), requires_grad=True)
         self.layers = [
-            TransformerBlock(rng.split(f"layer{i}"), d_embed, n_heads, d_hidden, dtype=dtype)
+            TransformerBlock(rng.split(f"layer{i}"), d_embed, n_heads, d_hidden)
             for i in range(n_layers)
         ]
-        self.final_norm = LayerNormAffine(d_embed, dtype=dtype)
+        self.final_norm = LayerNormAffine(d_embed)
 
     def __call__(self, tokens: Tensor) -> Tensor:
         if tokens.shape[-2] != self.seq_len:
@@ -159,17 +158,16 @@ class Conditioner:
     def __init__(self, rng: Rng, vocab: PromptVocab, canvas: int, cond_channels: int = 1,
                  d_embed: int = 64, encoder_channels: tuple[int, ...] = (16, 32),
                  encoder_out_channels: int = 32, n_layers: int = 2, n_heads: int = 4,
-                 d_hidden: int = 256, dtype=np.float32):
+                 d_hidden: int = 256):
         self.vocab = vocab
-        self.dtype = dtype
-        self.prompt_encoder = PromptEncoder(rng.split("prompt"), vocab, d_embed, dtype=dtype)
+        self.prompt_encoder = PromptEncoder(rng.split("prompt"), vocab, d_embed)
         self.image_encoder = ImageEncoder(rng.split("image"), cond_channels, encoder_channels,
-                                          encoder_out_channels, d_embed, dtype=dtype)
+                                          encoder_out_channels, d_embed)
         self.image_tokens = self.image_encoder.token_count(canvas, canvas)
         self.fusion = FusionTransformer(rng.split("fusion"), vocab.text_len + self.image_tokens,
-                                        d_embed, n_layers, n_heads, d_hidden, dtype=dtype)
+                                        d_embed, n_layers, n_heads, d_hidden)
         self.null_image = Tensor(
-            trunc_normal(rng.split("null_image"), (self.image_tokens, d_embed), dtype=dtype),
+            trunc_normal(rng.split("null_image"), (self.image_tokens, d_embed)),
             requires_grad=True,
         )
 
@@ -182,11 +180,15 @@ class Conditioner:
         return self.prompt_encoder([[]] * batch)
 
     def encode_image(self, images: Tensor) -> Tensor:
+        if images.dtype != self.null_image.dtype:
+            raise TypeError(
+                f"encode_image: images dtype {images.dtype} != model dtype {self.null_image.dtype}"
+            )
         return self.image_encoder(images)
 
     def null_image_batch(self, batch: int) -> Tensor:
         block = reshape(self.null_image, (1,) + self.null_image.shape)
-        ones = Tensor(np.ones((batch, 1, 1), dtype=self.dtype))
+        ones = Tensor(np.ones((batch, 1, 1), dtype=self.null_image.dtype))
         return mul(block, ones)
 
     # -- fusion -----------------------------------------------------------
@@ -224,15 +226,16 @@ class Conditioner:
         if not (0.0 <= drop_text <= 1.0 and 0.0 <= drop_image <= 1.0):
             raise ValueError("dropout rates must lie in [0, 1]")
         batch = text_emb.shape[0]
+        dtype = text_emb.dtype
         u = rng.uniform(2 * batch)
         text_dropped = u[0::2] < drop_text
         image_dropped = u[1::2] < drop_image
 
-        keep_t = (~text_dropped).astype(self.dtype)[:, None, None]
+        keep_t = (~text_dropped).astype(dtype)[:, None, None]
         null_t = self.null_text(batch)
         text_out = Tensor(text_emb.data * keep_t + null_t.data * (1.0 - keep_t))
 
-        keep_i = Tensor((~image_dropped).astype(self.dtype)[:, None, None])
-        inv_i = Tensor(image_dropped.astype(self.dtype)[:, None, None])
+        keep_i = Tensor((~image_dropped).astype(dtype)[:, None, None])
+        inv_i = Tensor(image_dropped.astype(dtype)[:, None, None])
         image_out = add(mul(image_emb, keep_i), mul(self.null_image_batch(batch), inv_i))
         return text_out, image_out, (text_dropped, image_dropped)

@@ -47,13 +47,13 @@ class DenoiserConfig:
 class ResBlock:
     """norm-silu-conv twice, timestep features added between, residual skip."""
 
-    def __init__(self, rng: Rng, c_in: int, c_out: int, temb_dim: int, dtype=np.float32):
-        self.norm1 = LayerNormAffine(c_in, dtype=dtype)
-        self.conv1 = Conv2dLayer(rng.split("conv1"), c_in, c_out, 3, padding=1, dtype=dtype)
-        self.time_proj = Linear(rng.split("time"), temb_dim, c_out, dtype=dtype)
-        self.norm2 = LayerNormAffine(c_out, dtype=dtype)
-        self.conv2 = Conv2dLayer(rng.split("conv2"), c_out, c_out, 3, padding=1, dtype=dtype)
-        self.skip = None if c_in == c_out else Conv2dLayer(rng.split("skip"), c_in, c_out, 1, dtype=dtype)
+    def __init__(self, rng: Rng, c_in: int, c_out: int, temb_dim: int):
+        self.norm1 = LayerNormAffine(c_in)
+        self.conv1 = Conv2dLayer(rng.split("conv1"), c_in, c_out, 3, padding=1)
+        self.time_proj = Linear(rng.split("time"), temb_dim, c_out)
+        self.norm2 = LayerNormAffine(c_out)
+        self.conv2 = Conv2dLayer(rng.split("conv2"), c_out, c_out, 3, padding=1)
+        self.skip = None if c_in == c_out else Conv2dLayer(rng.split("skip"), c_in, c_out, 1)
 
     def __call__(self, x: Tensor, temb: Tensor) -> Tensor:
         h = self.conv1(silu(self.norm1(x)))
@@ -66,14 +66,14 @@ class ResBlock:
 class SpatialAttnBlock:
     """Self-attention, condition cross-attention, and MLP over HW tokens."""
 
-    def __init__(self, rng: Rng, channels: int, cond_dim: int, n_heads: int, dtype=np.float32):
+    def __init__(self, rng: Rng, channels: int, cond_dim: int, n_heads: int):
         self.channels = channels
-        self.norm1 = LayerNormAffine(channels, dtype=dtype)
-        self.self_attn = SelfAttention(rng.split("self"), channels, n_heads, dtype=dtype)
-        self.norm2 = LayerNormAffine(channels, dtype=dtype)
-        self.cross_attn = CrossAttention(rng.split("cross"), channels, cond_dim, n_heads, dtype=dtype)
-        self.norm3 = LayerNormAffine(channels, dtype=dtype)
-        self.mlp = Mlp(rng.split("mlp"), channels, 4 * channels, dtype=dtype)
+        self.norm1 = LayerNormAffine(channels)
+        self.self_attn = SelfAttention(rng.split("self"), channels, n_heads)
+        self.norm2 = LayerNormAffine(channels)
+        self.cross_attn = CrossAttention(rng.split("cross"), channels, cond_dim, n_heads)
+        self.norm3 = LayerNormAffine(channels)
+        self.mlp = Mlp(rng.split("mlp"), channels, 4 * channels)
 
     def __call__(self, x: Tensor, cond: Tensor) -> Tensor:
         n, h, w, c = x.shape
@@ -87,20 +87,18 @@ class SpatialAttnBlock:
 class Denoiser:
     """U-shaped eps-prediction network; output shape equals input shape."""
 
-    def __init__(self, rng: Rng, config: DenoiserConfig, canvas: int, dtype=np.float32):
+    def __init__(self, rng: Rng, config: DenoiserConfig, canvas: int):
         self.config = config
         self.canvas = canvas
-        self.dtype = dtype
         chans = config.channels()
         levels = len(chans)
         factor = 2 ** (levels - 1)
         if canvas % factor:
             raise ValueError(f"canvas {canvas} not divisible by downsampling factor {factor}")
 
-        self.time_fc1 = Linear(rng.split("time_fc1"), config.temb_dim, config.temb_dim, dtype=dtype)
-        self.time_fc2 = Linear(rng.split("time_fc2"), config.temb_dim, config.temb_dim, dtype=dtype)
-        self.in_conv = Conv2dLayer(rng.split("in_conv"), config.in_channels, chans[0], 3,
-                                   padding=1, dtype=dtype)
+        self.time_fc1 = Linear(rng.split("time_fc1"), config.temb_dim, config.temb_dim)
+        self.time_fc2 = Linear(rng.split("time_fc2"), config.temb_dim, config.temb_dim)
+        self.in_conv = Conv2dLayer(rng.split("in_conv"), config.in_channels, chans[0], 3, padding=1)
 
         def attn_here(res):
             return res in config.attn_resolutions
@@ -111,25 +109,22 @@ class Denoiser:
             r = rng.split(f"down{lvl}")
             blocks = []
             for b in range(config.res_blocks):
-                entry = {"res": ResBlock(r.split(f"res{b}"), c, c,
-                                         config.temb_dim, dtype=dtype)}
+                entry = {"res": ResBlock(r.split(f"res{b}"), c, c, config.temb_dim)}
                 if attn_here(res):
                     entry["attn"] = SpatialAttnBlock(r.split(f"attn{b}"), c, config.cond_dim,
-                                                     config.n_heads, dtype=dtype)
+                                                     config.n_heads)
                 blocks.append(entry)
             down_conv = None
             if lvl + 1 < levels:
-                down_conv = Conv2dLayer(r.split("down"), c, chans[lvl + 1], 4, stride=2,
-                                        padding=1, dtype=dtype)
+                down_conv = Conv2dLayer(r.split("down"), c, chans[lvl + 1], 4, stride=2, padding=1)
                 res //= 2
             self.down.append({"blocks": blocks, "down": down_conv})
 
         r = rng.split("middle")
         c_mid = chans[-1]
-        self.mid_res1 = ResBlock(r.split("res1"), c_mid, c_mid, config.temb_dim, dtype=dtype)
-        self.mid_attn = SpatialAttnBlock(r.split("attn"), c_mid, config.cond_dim,
-                                         config.n_heads, dtype=dtype)
-        self.mid_res2 = ResBlock(r.split("res2"), c_mid, c_mid, config.temb_dim, dtype=dtype)
+        self.mid_res1 = ResBlock(r.split("res1"), c_mid, c_mid, config.temb_dim)
+        self.mid_attn = SpatialAttnBlock(r.split("attn"), c_mid, config.cond_dim, config.n_heads)
+        self.mid_res2 = ResBlock(r.split("res2"), c_mid, c_mid, config.temb_dim)
 
         self.up = []
         for lvl in reversed(range(levels)):
@@ -138,23 +133,23 @@ class Denoiser:
             blocks = []
             for b in range(config.res_blocks):
                 entry = {"res": ResBlock(r.split(f"res{b}"), 2 * c if b == 0 else c, c,
-                                         config.temb_dim, dtype=dtype)}
+                                         config.temb_dim)}
                 if attn_here(res):
                     entry["attn"] = SpatialAttnBlock(r.split(f"attn{b}"), c, config.cond_dim,
-                                                     config.n_heads, dtype=dtype)
+                                                     config.n_heads)
                 blocks.append(entry)
             up_conv = None
             if lvl:
-                up_conv = Conv2dLayer(r.split("up"), c, chans[lvl - 1], 3, padding=1, dtype=dtype)
+                up_conv = Conv2dLayer(r.split("up"), c, chans[lvl - 1], 3, padding=1)
                 res *= 2
             self.up.append({"blocks": blocks, "up": up_conv})
 
-        self.out_norm = LayerNormAffine(chans[0], dtype=dtype)
+        self.out_norm = LayerNormAffine(chans[0])
         self.out_conv = Conv2dLayer(rng.split("out_conv"), chans[0], config.in_channels, 3,
-                                    padding=1, dtype=dtype, zero_init=True)
+                                    padding=1, zero_init=True)
 
     def time_features(self, t) -> Tensor:
-        emb = Tensor(timestep_embedding(t, self.config.temb_dim, dtype=self.dtype))
+        emb = Tensor(timestep_embedding(t, self.config.temb_dim, dtype=self.time_fc1.w.dtype))
         return self.time_fc2(silu(self.time_fc1(emb)))
 
     def __call__(self, x: Tensor, t, cond: Tensor) -> Tensor:

@@ -1,20 +1,28 @@
 """The full generative bundle: schedule + conditioner + denoiser.
 
-Everything trainable is reachable through one named parameter registry, so
+Everything the model holds is reachable through one named registry, so
 the optimizer and the checkpoint format share a single source of truth.
 ``nn.named_params`` builds it by walking attributes: a name is the
 attribute path under ``cond`` or ``denoiser``, with list indices and dict
 keys as segments (``denoiser.down.1.blocks.0.attn.cross_attn.q.w``). Conv
-kernels are stored channels-last, (kh, kw, C_in, C_out).
+kernels are stored channels-last, (kh, kw, C_in, C_out). Every leaf is a
+Tensor: ``params()`` are the tracked leaves, the weights that train, and
+``buffers()`` the untracked ones as arrays (the frozen prompt table).
+
+Precision is decided here and nowhere else. The layers build every tensor
+at float64, and ``DiffusionModel`` casts each registered tensor once to
+its ``dtype``. The layers read any run-time dtype from those tensors, and
+``predict_eps`` and ``Conditioner.encode_image`` reject input of another
+dtype by name.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conditioning import DEFAULT_TOKENS, Conditioner, PromptVocab
+from .conditioning import Conditioner, PromptVocab
 from .denoiser import Denoiser, DenoiserConfig
 from .diffusion import NoiseSchedule, linear_schedule
 from .nn import named_params
@@ -39,34 +47,16 @@ class ModelConfig:
     beta_start: float = 1e-4
     beta_end: float = 0.02
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModelConfig":
-        data = dict(data)
-        den = data.get("denoiser", {})
-        if isinstance(den, dict):
-            den = dict(den)
-            for key in ("channel_mult", "attn_resolutions"):
-                if key in den:
-                    den[key] = tuple(den[key])
-            data["denoiser"] = DenoiserConfig(**den)
-        if "encoder_channels" in data:
-            data["encoder_channels"] = tuple(data["encoder_channels"])
-        return cls(**data)
-
 
 class DiffusionModel:
-    """Conditioned denoiser with its schedule, vocab, and parameter registry."""
+    """Conditioned denoiser with its schedule, vocab, and tensor registry."""
 
-    def __init__(self, config: ModelConfig, rng: Rng | None = None, dtype=np.float32,
-                 vocab: PromptVocab | None = None):
+    def __init__(self, config: ModelConfig, rng: Rng | None = None, dtype=np.float32):
         self.config = config
-        self.dtype = dtype
-        self.vocab = vocab or PromptVocab(DEFAULT_TOKENS, text_len=config.text_len)
-        if self.vocab.text_len != config.text_len:
-            raise ValueError("vocab text_len disagrees with config")
+        self.dtype = np.dtype(dtype)
+        if self.dtype not in (np.float32, np.float64):
+            raise ValueError(f"model dtype must be float32 or float64, got {self.dtype}")
+        self.vocab = PromptVocab(text_len=config.text_len)
         self.schedule: NoiseSchedule = linear_schedule(
             config.total_steps, config.beta_start, config.beta_end
         )
@@ -82,21 +72,25 @@ class DiffusionModel:
             n_layers=config.fusion_layers,
             n_heads=config.fusion_heads,
             d_hidden=config.fusion_hidden,
-            dtype=dtype,
         )
         if config.denoiser.cond_dim != config.d_embed:
             raise ValueError("denoiser cond_dim must equal d_embed")
         if config.denoiser.in_channels != config.image_channels:
             raise ValueError("denoiser in_channels must equal image_channels")
-        self.denoiser = Denoiser(rng.split("denoiser"), config.denoiser, config.canvas, dtype=dtype)
+        self.denoiser = Denoiser(rng.split("denoiser"), config.denoiser, config.canvas)
+        for t in self._tensors().values():
+            t.data = t.data.astype(self.dtype, copy=False)
 
     # -- registries ---------------------------------------------------------
 
-    def params(self) -> dict[str, Tensor]:
+    def _tensors(self) -> dict[str, Tensor]:
         return {**named_params(self.conditioner, "cond"), **named_params(self.denoiser, "denoiser")}
 
+    def params(self) -> dict[str, Tensor]:
+        return {name: t for name, t in self._tensors().items() if t.requires_grad}
+
     def buffers(self) -> dict[str, np.ndarray]:
-        return named_params(self.conditioner, "cond", kind=np.ndarray)
+        return {name: t.data for name, t in self._tensors().items() if not t.requires_grad}
 
     def param_count(self) -> int:
         return sum(p.size for p in self.params().values())
@@ -108,8 +102,7 @@ class DiffusionModel:
         or non-finite entry raises with its name and leaves the model as it
         was. Names the model does not register are ignored.
         """
-        targets = {name: p.data for name, p in self.params().items()}
-        targets.update(self.buffers())
+        targets = {name: t.data for name, t in self._tensors().items()}
         for name, dst in targets.items():
             if name not in tensors:
                 raise KeyError(f"checkpoint missing '{name}'")
@@ -133,6 +126,9 @@ class DiffusionModel:
             raise ValueError(
                 f"condition shape {cond.shape} != (.., {seq}, {self.config.d_embed})"
             )
+        for arg, value in (("x_t", x_t), ("cond", cond)):
+            if value.dtype != self.dtype:
+                raise TypeError(f"predict_eps: {arg} dtype {value.dtype} != model dtype {self.dtype}")
         t_arr = np.asarray(t)
         if np.any(t_arr < 1) or np.any(t_arr > self.schedule.total_steps):
             raise ValueError(f"t={t} outside schedule range [1, {self.schedule.total_steps}]")

@@ -4,7 +4,12 @@ Weights initialize to truncated normal (std 0.02, resampled outside two
 standard deviations); biases and gains follow the usual zero/one
 conventions. Feature maps are channels-last, (N, H, W, C), so per-channel
 layers act on the trailing axis. Layers declare no registry of their own:
-``named_params`` finds every parameter by walking the attributes.
+``named_params`` finds every Tensor by walking the attributes.
+
+Precision is not a layer's choice. Every layer builds its tensors at
+float64, the precision of every draw, and the model that owns the layers
+casts each registered tensor once (``model.DiffusionModel``). A layer that
+needs a dtype at run time reads it from its own tensors.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .tensor import (
 )
 
 
-def trunc_normal(rng: Rng, shape, std: float = 0.02, dtype=np.float32) -> np.ndarray:
+def trunc_normal(rng: Rng, shape, std: float = 0.02, dtype=np.float64) -> np.ndarray:
     """Normal(0, std) with values beyond 2 std redrawn."""
     out = rng.gaussian(shape, dtype=np.float64)
     for _ in range(16):
@@ -34,7 +39,7 @@ def trunc_normal(rng: Rng, shape, std: float = 0.02, dtype=np.float32) -> np.nda
         if not n_bad:
             break
         out[bad] = rng.gaussian((n_bad,), dtype=np.float64)
-    return (np.clip(out, -2.0, 2.0) * std).astype(dtype)
+    return (np.clip(out, -2.0, 2.0) * std).astype(dtype, copy=False)
 
 
 def _param(arr: np.ndarray) -> Tensor:
@@ -42,13 +47,13 @@ def _param(arr: np.ndarray) -> Tensor:
 
 
 class Linear:
-    def __init__(self, rng: Rng, d_in: int, d_out: int, dtype=np.float32, zero_init: bool = False):
+    def __init__(self, rng: Rng, d_in: int, d_out: int, zero_init: bool = False):
         if zero_init:
-            w = np.zeros((d_in, d_out), dtype=dtype)
+            w = np.zeros((d_in, d_out))
         else:
-            w = trunc_normal(rng, (d_in, d_out), dtype=dtype)
+            w = trunc_normal(rng, (d_in, d_out))
         self.w = _param(w)
-        self.b = _param(np.zeros(d_out, dtype=dtype))
+        self.b = _param(np.zeros(d_out))
 
     def __call__(self, x: Tensor) -> Tensor:
         return add(matmul(x, self.w), self.b)
@@ -58,15 +63,15 @@ class Conv2dLayer:
     """Channels-last conv; ``w`` is (kh, kw, C_in, C_out), ``b`` is (C_out,)."""
 
     def __init__(self, rng: Rng, c_in: int, c_out: int, kernel: int,
-                 stride: int = 1, padding: int = 0, dtype=np.float32, zero_init: bool = False):
+                 stride: int = 1, padding: int = 0, zero_init: bool = False):
         if zero_init:
-            w = np.zeros((kernel, kernel, c_in, c_out), dtype=dtype)
+            w = np.zeros((kernel, kernel, c_in, c_out))
         else:
             # the seed stream fills (C_out, C_in, kh, kw) order; stored channels-last
-            w = trunc_normal(rng, (c_out, c_in, kernel, kernel), dtype=dtype)
+            w = trunc_normal(rng, (c_out, c_in, kernel, kernel))
             w = np.ascontiguousarray(w.transpose(2, 3, 1, 0))
         self.w = _param(w)
-        self.b = _param(np.zeros(c_out, dtype=dtype))
+        self.b = _param(np.zeros(c_out))
         self.stride = stride
         self.padding = padding
 
@@ -77,20 +82,20 @@ class Conv2dLayer:
 class LayerNormAffine:
     """Trailing-axis normalization with learnable gain and bias."""
 
-    def __init__(self, dim: int, dtype=np.float32):
-        self.gain = _param(np.ones(dim, dtype=dtype))
-        self.bias = _param(np.zeros(dim, dtype=dtype))
+    def __init__(self, dim: int):
+        self.gain = _param(np.ones(dim))
+        self.bias = _param(np.zeros(dim))
 
     def __call__(self, x: Tensor) -> Tensor:
         return add(mul(layer_norm(x), self.gain), self.bias)
 
 
 class SelfAttention:
-    def __init__(self, rng: Rng, dim: int, n_heads: int, dtype=np.float32):
+    def __init__(self, rng: Rng, dim: int, n_heads: int):
         self.n_heads = n_heads
         self.dim = dim
-        self.qkv = Linear(rng.split("qkv"), dim, 3 * dim, dtype=dtype)
-        self.out = Linear(rng.split("out"), dim, dim, dtype=dtype)
+        self.qkv = Linear(rng.split("qkv"), dim, 3 * dim)
+        self.out = Linear(rng.split("out"), dim, dim)
 
     def __call__(self, x: Tensor) -> Tensor:
         qkv = self.qkv(x)
@@ -103,12 +108,12 @@ class SelfAttention:
 class CrossAttention:
     """Queries from the stream, keys/values from a context sequence."""
 
-    def __init__(self, rng: Rng, dim: int, context_dim: int, n_heads: int, dtype=np.float32):
+    def __init__(self, rng: Rng, dim: int, context_dim: int, n_heads: int):
         self.n_heads = n_heads
-        self.q = Linear(rng.split("q"), dim, dim, dtype=dtype)
-        self.k = Linear(rng.split("k"), context_dim, dim, dtype=dtype)
-        self.v = Linear(rng.split("v"), context_dim, dim, dtype=dtype)
-        self.out = Linear(rng.split("out"), dim, dim, dtype=dtype)
+        self.q = Linear(rng.split("q"), dim, dim)
+        self.k = Linear(rng.split("k"), context_dim, dim)
+        self.v = Linear(rng.split("v"), context_dim, dim)
+        self.out = Linear(rng.split("out"), dim, dim)
 
     def __call__(self, x: Tensor, context: Tensor) -> Tensor:
         q = self.q(x)
@@ -118,9 +123,9 @@ class CrossAttention:
 
 
 class Mlp:
-    def __init__(self, rng: Rng, dim: int, hidden: int, dtype=np.float32):
-        self.fc1 = Linear(rng.split("fc1"), dim, hidden, dtype=dtype)
-        self.fc2 = Linear(rng.split("fc2"), hidden, dim, dtype=dtype)
+    def __init__(self, rng: Rng, dim: int, hidden: int):
+        self.fc1 = Linear(rng.split("fc1"), dim, hidden)
+        self.fc2 = Linear(rng.split("fc2"), hidden, dim)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(silu(self.fc1(x)))
@@ -129,18 +134,18 @@ class Mlp:
 class TransformerBlock:
     """Pre-norm block: self-attention then MLP, both residual."""
 
-    def __init__(self, rng: Rng, dim: int, n_heads: int, hidden: int, dtype=np.float32):
-        self.norm1 = LayerNormAffine(dim, dtype=dtype)
-        self.attn = SelfAttention(rng.split("attn"), dim, n_heads, dtype=dtype)
-        self.norm2 = LayerNormAffine(dim, dtype=dtype)
-        self.mlp = Mlp(rng.split("mlp"), dim, hidden, dtype=dtype)
+    def __init__(self, rng: Rng, dim: int, n_heads: int, hidden: int):
+        self.norm1 = LayerNormAffine(dim)
+        self.attn = SelfAttention(rng.split("attn"), dim, n_heads)
+        self.norm2 = LayerNormAffine(dim)
+        self.mlp = Mlp(rng.split("mlp"), dim, hidden)
 
     def __call__(self, x: Tensor) -> Tensor:
         x = add(x, self.attn(self.norm1(x)))
         return add(x, self.mlp(self.norm2(x)))
 
 
-def timestep_embedding(t, dim: int, dtype=np.float32) -> np.ndarray:
+def timestep_embedding(t, dim: int, dtype=np.float64) -> np.ndarray:
     """Sinusoidal features [sin(t*w_j), cos(t*w_j)], w_j = 10000^(-2j/dim).
 
     t may be a scalar or a 1-D array; output gains a leading batch axis for
@@ -153,20 +158,19 @@ def timestep_embedding(t, dim: int, dtype=np.float32) -> np.ndarray:
     t_arr = np.asarray(t, dtype=np.float64)
     angles = t_arr[..., None] * freqs
     emb = np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
-    return emb.astype(dtype)
+    return emb.astype(dtype, copy=False)
 
 
-def named_params(obj, prefix: str, kind=Tensor) -> dict:
-    """name -> leaf of type ``kind`` reachable from ``obj``, in attribute order.
+def named_params(obj, prefix: str) -> dict:
+    """name -> Tensor leaf reachable from ``obj``, in attribute order.
 
     Names are attribute paths joined by dots; list indices and dict keys
     are path segments. The walk descends into duetdiff objects, lists,
-    tuples and dicts only, and never into a Tensor or an array.
+    tuples and dicts only, and never into a Tensor. Tracked and untracked
+    leaves alike are returned; ``requires_grad`` tells them apart.
     """
-    if isinstance(obj, kind):
+    if isinstance(obj, Tensor):
         return {prefix: obj}
-    if isinstance(obj, (Tensor, np.ndarray)):
-        return {}
     if isinstance(obj, dict):
         items = obj.items()
     elif isinstance(obj, (list, tuple)):
@@ -177,5 +181,5 @@ def named_params(obj, prefix: str, kind=Tensor) -> dict:
         return {}
     out = {}
     for key, value in items:
-        out.update(named_params(value, f"{prefix}.{key}", kind))
+        out.update(named_params(value, f"{prefix}.{key}"))
     return out

@@ -59,7 +59,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "_tape")
 
     def __init__(self, data, dtype=None, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=dtype)
+        arr = np.asarray(data, dtype)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
         self.data = arr
@@ -194,15 +194,19 @@ def _record(name: str, out_data: np.ndarray, inputs: tuple, vjp, check: bool = T
     return out
 
 
-def _as_tensor(x, dtype) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
-
-
 def _check_dtypes(name: str, a: Tensor, b: Tensor) -> None:
     if a.data.dtype != b.data.dtype:
         raise TypeError(f"{name}: mixed dtypes {a.data.dtype} and {b.data.dtype}")
+
+
+def _operands(name: str, a, b) -> tuple[Tensor, Tensor]:
+    """Both operands as Tensors; a non-Tensor one takes the other's dtype."""
+    if not isinstance(a, Tensor):
+        a = Tensor(a, b.data.dtype if isinstance(b, Tensor) else None)
+    if not isinstance(b, Tensor):
+        b = Tensor(b, a.data.dtype)
+    _check_dtypes(name, a, b)
+    return a, b
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -223,10 +227,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a = _as_tensor(a, None)
-    b = _as_tensor(b, a.data.dtype)
-    a = _as_tensor(a, b.data.dtype)
-    _check_dtypes("add", a, b)
+    a, b = _operands("add", a, b)
     try:
         out = a.data + b.data
     except ValueError as exc:
@@ -242,9 +243,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a = _as_tensor(a, None)
-    b = _as_tensor(b, a.data.dtype)
-    _check_dtypes("sub", a, b)
+    a, b = _operands("sub", a, b)
     try:
         out = a.data - b.data
     except ValueError as exc:
@@ -260,10 +259,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a = _as_tensor(a, None)
-    b = _as_tensor(b, a.data.dtype)
-    a = _as_tensor(a, b.data.dtype)
-    _check_dtypes("mul", a, b)
+    a, b = _operands("mul", a, b)
     try:
         out = a.data * b.data
     except ValueError as exc:
@@ -582,4 +578,4 @@ def upsample2x(x: Tensor) -> Tensor:
 
 def gaussian(rng: Rng, shape, dtype=np.float64) -> Tensor:
     """Standard-normal tensor drawn from the given stream (untracked)."""
-    return Tensor(rng.gaussian(shape, dtype=dtype))
+    return Tensor(rng.gaussian(shape, dtype))

@@ -15,10 +15,10 @@ D = 16
 CANVAS = 12
 
 
-def _conditioner(dtype=np.float64) -> Conditioner:
+def _conditioner() -> Conditioner:
     return Conditioner(Rng(0), PromptVocab(), canvas=CANVAS, d_embed=D,
                        encoder_channels=(4, 8), encoder_out_channels=8,
-                       n_layers=2, n_heads=2, d_hidden=32, dtype=dtype)
+                       n_layers=2, n_heads=2, d_hidden=32)
 
 
 def _layouts(rows: int, dtype=np.float64) -> Tensor:
@@ -49,13 +49,13 @@ def test_prompt_embedding_is_constant_table_rows():
     cond = _conditioner()
     emb = cond.encode_prompt([["blue", "square"]])
     assert not emb.requires_grad
-    table = cond.prompt_encoder.table
+    table = cond.prompt_encoder.table.data
     assert np.array_equal(emb.data[0, :2], table[[3, 6]])
     assert np.array_equal(emb.data[0, 2:], np.broadcast_to(table[0], (6, D)))
 
 
 def test_image_encoder_tokens_and_shape():
-    enc = ImageEncoder(Rng(3), 1, (4, 8), 8, D, dtype=np.float64)
+    enc = ImageEncoder(Rng(3), 1, (4, 8), 8, D)
     assert enc.token_count(CANVAS, CANVAS) == 9
     with pytest.raises(ValueError, match="not divisible"):
         enc.token_count(10, 10)

@@ -10,7 +10,7 @@ CANVAS = 12
 
 
 def _denoiser() -> Denoiser:
-    den = Denoiser(Rng(0), CONFIG, CANVAS, dtype=np.float64)
+    den = Denoiser(Rng(0), CONFIG, CANVAS)
     w = den.out_conv.w
     w.data[...] = Rng(1).gaussian(w.shape) * 0.1
     return den

@@ -11,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from duetdiff.denoiser import DenoiserConfig
+from duetdiff.conditioning import Conditioner
+from duetdiff.denoiser import Denoiser, DenoiserConfig
 from duetdiff.model import DiffusionModel, ModelConfig
-from duetdiff.nn import trunc_normal
+from duetdiff.nn import named_params, trunc_normal
 from duetdiff.rng import Rng
 from duetdiff.synthdata import generate_dataset
 from duetdiff.tensor import GradTape, Tensor, mul, tsum
@@ -90,7 +91,40 @@ def test_tiny_config_registers_the_same_names():
 
 def test_buffers_hold_the_frozen_prompt_table():
     model = tiny_model()
-    assert model.buffers() == {"cond.prompt_encoder.table": model.conditioner.prompt_encoder.table}
+    assert model.buffers() == {"cond.prompt_encoder.table": model.conditioner.prompt_encoder.table.data}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_the_model_casts_every_tensor_to_its_dtype(dtype):
+    model = DiffusionModel(TINY, rng=Rng(0), dtype=dtype)
+    assert model.dtype == dtype
+    assert all(p.dtype == dtype for p in model.params().values())
+    assert all(b.dtype == dtype for b in model.buffers().values())
+
+
+def test_a_float64_model_cast_to_float32_is_the_float32_model():
+    m64 = _tensors(DiffusionModel(TINY, rng=Rng(3), dtype=np.float64))
+    m32 = _tensors(DiffusionModel(TINY, rng=Rng(3), dtype=np.float32))
+    assert list(m64) == list(m32)
+    for name, arr in m64.items():
+        assert np.array_equal(arr.astype(np.float32), m32[name]), name
+
+
+def test_the_model_dtype_is_float32_or_float64():
+    with pytest.raises(ValueError, match="float32 or float64"):
+        DiffusionModel(TINY, dtype=np.float16)
+
+
+def test_layers_built_alone_are_float64():
+    model = DiffusionModel(TINY, rng=Rng(0), dtype=np.float64)
+    den = Denoiser(Rng(0).split("denoiser"), TINY.denoiser, TINY.canvas)
+    cond = Conditioner(Rng(0).split("conditioner"), model.vocab, canvas=TINY.canvas,
+                       d_embed=TINY.d_embed, encoder_channels=TINY.encoder_channels,
+                       encoder_out_channels=TINY.encoder_out_channels,
+                       n_heads=TINY.fusion_heads, d_hidden=TINY.fusion_hidden)
+    leaves = {**named_params(cond, "cond"), **named_params(den, "denoiser")}
+    assert len(leaves) == len(model.params()) + len(model.buffers())
+    assert all(t.dtype == np.float64 for t in leaves.values())
 
 
 def test_params_are_seed_deterministic():
@@ -165,6 +199,23 @@ def test_predict_eps_rejects_bad_input():
         model.predict_eps(x_t, t, Tensor(cond.data[:, 1:]))
     with pytest.raises(ValueError, match="outside schedule range"):
         model.predict_eps(x_t, 0, cond)
+
+
+@pytest.mark.parametrize("arg", ["x_t", "cond"])
+def test_predict_eps_rejects_another_dtype_by_name(arg):
+    model = tiny_model(np.float32)
+    prompts, layouts, x_t, t = tiny_batch(model, 1)
+    inputs = {"x_t": x_t, "cond": model.conditioner.fuse_joint(prompts, layouts)}
+    inputs[arg] = Tensor(inputs[arg].data.astype(np.float64))
+    with pytest.raises(TypeError, match=f"{arg} dtype float64 != model dtype float32"):
+        model.predict_eps(inputs["x_t"], t, inputs["cond"])
+
+
+def test_encode_image_rejects_another_dtype_by_name():
+    model = tiny_model(np.float32)
+    _, layouts, _, _ = tiny_batch(model, 1)
+    with pytest.raises(TypeError, match="images dtype float64 != model dtype float32"):
+        model.conditioner.encode_image(Tensor(layouts.data.astype(np.float64)))
 
 
 # ---------------------------------------------------------------------------

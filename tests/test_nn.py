@@ -26,7 +26,7 @@ def test_trunc_normal_stays_within_two_std():
 
 
 def test_conv_layer_draws_oihw_and_stores_channels_last():
-    layer = Conv2dLayer(Rng(1), 3, 5, 4, stride=2, padding=1, dtype=np.float64)
+    layer = Conv2dLayer(Rng(1), 3, 5, 4, stride=2, padding=1)
     oihw = trunc_normal(Rng(1), (5, 3, 4, 4), dtype=np.float64)
     assert layer.w.shape == (4, 4, 3, 5) and layer.b.shape == (5,)
     assert layer.w.data.flags.c_contiguous
@@ -37,7 +37,7 @@ def test_conv_layer_draws_oihw_and_stores_channels_last():
 
 def test_conv_layer_matches_the_nchw_reference():
     rng = Rng(2)
-    layer = Conv2dLayer(rng.split("layer"), 3, 4, 4, stride=2, padding=1, dtype=np.float64)
+    layer = Conv2dLayer(rng.split("layer"), 3, 4, 4, stride=2, padding=1)
     layer.b.data[...] = _rand(rng, (4,))
     x = _rand(rng, (2, 3, 8, 8))
     w_oihw = layer.w.data.transpose(3, 2, 0, 1)
@@ -47,7 +47,7 @@ def test_conv_layer_matches_the_nchw_reference():
 
 
 def test_layer_norm_acts_on_the_channel_axis():
-    norm = LayerNormAffine(6, dtype=np.float64)
+    norm = LayerNormAffine(6)
     norm.gain.data[...] = 2.0
     norm.bias.data[...] = 1.0
     out = norm(Tensor(_rand(Rng(3), (2, 4, 4, 6)))).data
@@ -59,9 +59,9 @@ def test_blocks_keep_channels_last_shapes():
     rng = Rng(4)
     x = Tensor(_rand(rng, (2, 6, 6, 4)))
     temb = Tensor(_rand(rng, (2, 8)))
-    res = ResBlock(rng.split("res"), 4, 8, 8, dtype=np.float64)
+    res = ResBlock(rng.split("res"), 4, 8, 8)
     assert res(x, temb).shape == (2, 6, 6, 8)
-    attn = SpatialAttnBlock(rng.split("attn"), 4, 16, 2, dtype=np.float64)
+    attn = SpatialAttnBlock(rng.split("attn"), 4, 16, 2)
     assert attn(x, Tensor(_rand(rng, (2, 5, 16)))).shape == (2, 6, 6, 4)
 
 
@@ -69,7 +69,7 @@ def test_spatial_attention_tokens_are_pixels_in_row_major_order():
     # with every sub-layer's output zeroed the block is the identity, so the
     # HW-token reshape must invert exactly
     rng = Rng(5)
-    attn = SpatialAttnBlock(rng, 4, 16, 2, dtype=np.float64)
+    attn = SpatialAttnBlock(rng, 4, 16, 2)
     for lin in (attn.self_attn.out, attn.cross_attn.out, attn.mlp.fc2):
         lin.w.data[...] = 0.0
     x = _rand(rng, (1, 3, 5, 4))
@@ -112,4 +112,3 @@ def test_named_params_selects_leaves_by_kind():
     lin = Linear(Rng(7), 2, 3)
     lin.table = np.zeros(3)
     assert list(named_params(lin, "l")) == ["l.w", "l.b"]
-    assert list(named_params(lin, "l", kind=np.ndarray)) == ["l.table"]

@@ -24,6 +24,7 @@ from duetdiff.tensor import (
     silu,
     slice_axis,
     softmax,
+    sub,
     tmean,
     transpose,
     tsum,
@@ -85,9 +86,21 @@ def test_add_incompatible_shapes():
         add(Tensor(np.ones((2, 3))), Tensor(np.ones((4,))))
 
 
-def test_mixed_dtypes_rejected():
-    with pytest.raises(TypeError):
-        add(Tensor(np.ones(3, np.float32)), Tensor(np.ones(3, np.float64)))
+@pytest.mark.parametrize("op", [add, sub, mul], ids=["add", "sub", "mul"])
+def test_mixed_dtypes_rejected(op):
+    with pytest.raises(TypeError, match="mixed dtypes"):
+        op(Tensor(np.ones(3, np.float32)), Tensor(np.ones(3, np.float64)))
+
+
+@pytest.mark.parametrize("op, expected", [(add, [3.0, 4.0]), (sub, [1.0, 0.0]), (mul, [2.0, 4.0])],
+                         ids=["add", "sub", "mul"])
+def test_a_scalar_operand_takes_the_tensor_dtype(op, expected):
+    t32 = Tensor(np.array([1.0, 2.0], np.float32))
+    first = op(2.0, t32)
+    assert first.dtype == np.float32 and np.array_equal(first.data, expected)
+    second = op(t32, 2.0)
+    assert second.dtype == np.float32
+    assert np.array_equal(second.data, op(Tensor(np.array([1.0, 2.0])), 2.0).data)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
