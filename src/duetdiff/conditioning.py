@@ -226,16 +226,16 @@ class Conditioner:
         if not (0.0 <= drop_text <= 1.0 and 0.0 <= drop_image <= 1.0):
             raise ValueError("dropout rates must lie in [0, 1]")
         batch = text_emb.shape[0]
-        dtype = text_emb.dtype
         u = rng.uniform(2 * batch)
         text_dropped = u[0::2] < drop_text
         image_dropped = u[1::2] < drop_image
-
-        keep_t = (~text_dropped).astype(dtype)[:, None, None]
-        null_t = self.null_text(batch)
-        text_out = Tensor(text_emb.data * keep_t + null_t.data * (1.0 - keep_t))
-
-        keep_i = Tensor((~image_dropped).astype(dtype)[:, None, None])
-        inv_i = Tensor(image_dropped.astype(dtype)[:, None, None])
-        image_out = add(mul(image_emb, keep_i), mul(self.null_image_batch(batch), inv_i))
+        text_out = _swap_rows(text_emb, self.null_text(batch), text_dropped)
+        image_out = _swap_rows(image_emb, self.null_image_batch(batch), image_dropped)
         return text_out, image_out, (text_dropped, image_dropped)
+
+
+def _swap_rows(emb: Tensor, null: Tensor, dropped: np.ndarray) -> Tensor:
+    """emb with the rows flagged in ``dropped`` replaced by those of ``null``."""
+    keep = Tensor((~dropped).astype(emb.dtype)[:, None, None])
+    drop = Tensor(dropped.astype(emb.dtype)[:, None, None])
+    return add(mul(emb, keep), mul(null, drop))

@@ -1,4 +1,10 @@
-"""Noise schedules, the forward corruption map, and reverse-step rules."""
+"""Noise schedules, the forward corruption map, and reverse-step rules.
+
+Step-index contract: a step ``t`` is an int or a per-row int array in
+[1, T], where T is the schedule's ``total_steps``. A reverse step's target
+``t_prev`` may also be 0, the clean data, and ``alpha_bar(0) == 1``.
+``NoiseSchedule.check_t`` holds this range check for every caller.
+"""
 
 from __future__ import annotations
 
@@ -13,15 +19,15 @@ from .tensor import ShapeError, Tensor, add, gaussian, mul, scale, sub
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Per-step noise variances and the derived signal-retention tables.
+    """Per-step noise variances and the derived signal-retention table.
 
     betas[t-1] is the variance added at step t; alpha_bars[t-1] is the
     cumulative product of (1 - beta) up to t. Tables are float64.
     """
 
     betas: np.ndarray
-    alphas: np.ndarray = field(init=False)
     alpha_bars: np.ndarray = field(init=False)
+    _alpha_bar_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         betas = np.asarray(self.betas, dtype=np.float64)
@@ -29,34 +35,26 @@ class NoiseSchedule:
             raise ValueError("betas must be a non-empty 1-D array")
         if np.any(betas <= 0.0) or np.any(betas >= 1.0):
             raise ValueError("betas must lie strictly inside (0, 1)")
+        table = np.concatenate(([1.0], np.cumprod(1.0 - betas)))
         object.__setattr__(self, "betas", betas)
-        object.__setattr__(self, "alphas", 1.0 - betas)
-        object.__setattr__(self, "alpha_bars", np.cumprod(1.0 - betas))
+        object.__setattr__(self, "alpha_bars", table[1:])
+        object.__setattr__(self, "_alpha_bar_table", table)
 
     @property
     def total_steps(self) -> int:
         return self.betas.size
 
-    def beta(self, t: int) -> float:
-        self._check_t(t)
-        return float(self.betas[t - 1])
-
-    def alpha(self, t: int) -> float:
-        self._check_t(t)
-        return float(self.alphas[t - 1])
+    def check_t(self, t, lo: int = 1) -> np.ndarray:
+        """``t`` as an array, after checking every entry lies in [lo, T]."""
+        t_arr = np.asarray(t)
+        if np.any(t_arr < lo) or np.any(t_arr > self.total_steps):
+            raise ValueError(f"t={t} outside schedule range [{lo}, {self.total_steps}]")
+        return t_arr
 
     def alpha_bar(self, t) -> float | np.ndarray:
         """Cumulative retention at step t, with alpha_bar(0) == 1."""
-        t_arr = np.asarray(t)
-        if np.any(t_arr < 0) or np.any(t_arr > self.total_steps):
-            raise ValueError(f"t={t} outside [0, {self.total_steps}]")
-        table = np.concatenate(([1.0], self.alpha_bars))
-        out = table[t_arr]
-        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
-
-    def _check_t(self, t: int) -> None:
-        if not 1 <= t <= self.total_steps:
-            raise ValueError(f"t={t} outside [1, {self.total_steps}]")
+        out = self._alpha_bar_table[self.check_t(t, lo=0)]
+        return out if isinstance(out, np.ndarray) else float(out)
 
 
 def linear_schedule(total_steps: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> NoiseSchedule:
@@ -65,11 +63,7 @@ def linear_schedule(total_steps: int, beta_start: float = 1e-4, beta_end: float 
         raise ValueError("total_steps must be >= 1")
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ValueError("need 0 < beta_start <= beta_end < 1")
-    if total_steps == 1:
-        betas = np.array([beta_start], dtype=np.float64)
-    else:
-        betas = np.linspace(beta_start, beta_end, total_steps, dtype=np.float64)
-    return NoiseSchedule(betas)
+    return NoiseSchedule(np.linspace(beta_start, beta_end, total_steps, dtype=np.float64))
 
 
 def forward_diffuse(x0: Tensor, t, eps: Tensor, sched: NoiseSchedule) -> Tensor:
@@ -79,18 +73,12 @@ def forward_diffuse(x0: Tensor, t, eps: Tensor, sched: NoiseSchedule) -> Tensor:
     """
     if eps.shape != x0.shape:
         raise ShapeError(f"forward_diffuse: eps shape {eps.shape} != x0 shape {x0.shape}")
+    sched.check_t(t)
     abar = sched.alpha_bar(t)
-    if np.isscalar(abar):
-        if t < 1:
-            raise ValueError("forward_diffuse: t must be >= 1")
-        c_signal = math.sqrt(abar)
-        c_noise = math.sqrt(1.0 - abar)
-        return add(scale(x0, c_signal), scale(eps, c_noise))
-    if np.any(np.asarray(t) < 1):
-        raise ValueError("forward_diffuse: t must be >= 1")
+    # one coefficient per row; an int t gives one for the whole batch
     shape = (-1,) + (1,) * (x0.ndim - 1)
-    c_signal = np.sqrt(abar).reshape(shape).astype(x0.data.dtype)
-    c_noise = np.sqrt(1.0 - abar).reshape(shape).astype(x0.data.dtype)
+    c_signal = np.sqrt(abar).reshape(shape).astype(x0.dtype)
+    c_noise = np.sqrt(1.0 - abar).reshape(shape).astype(x0.dtype)
     return add(mul(x0, Tensor(c_signal)), mul(eps, Tensor(c_noise)))
 
 
@@ -100,13 +88,12 @@ def ddpm_step(xt: Tensor, t: int, eps_pred: Tensor, noise: Tensor | None, sched:
     The injected noise is suppressed at t == 1 (the final step is the
     deterministic mean).
     """
-    sched._check_t(t)
+    sched.check_t(t)
     if eps_pred.shape != xt.shape:
         raise ShapeError("ddpm_step: eps_pred shape mismatch")
-    beta = sched.beta(t)
-    alpha = sched.alpha(t)
+    beta = float(sched.betas[t - 1])
     abar = sched.alpha_bar(t)
-    mean = scale(sub(xt, scale(eps_pred, beta / math.sqrt(1.0 - abar))), 1.0 / math.sqrt(alpha))
+    mean = scale(sub(xt, scale(eps_pred, beta / math.sqrt(1.0 - abar))), 1.0 / math.sqrt(1.0 - beta))
     if t == 1 or noise is None:
         return mean
     if noise.shape != xt.shape:
@@ -115,9 +102,13 @@ def ddpm_step(xt: Tensor, t: int, eps_pred: Tensor, noise: Tensor | None, sched:
 
 
 def ddim_step(xt: Tensor, t: int, t_prev: int, eps_pred: Tensor, sched: NoiseSchedule) -> Tensor:
-    """Deterministic reverse jump t -> t_prev (eta = 0)."""
-    if not (0 <= t_prev < t <= sched.total_steps):
-        raise ValueError(f"ddim_step: need 0 <= t_prev < t <= T, got ({t_prev}, {t})")
+    """Deterministic reverse jump t -> t_prev (eta = 0).
+
+    ``alpha_bar`` range-checks both steps, so with ``t_prev < t`` this
+    accepts exactly 0 <= t_prev < t <= T.
+    """
+    if not t_prev < t:
+        raise ValueError(f"ddim_step: need t_prev < t, got ({t_prev}, {t})")
     if eps_pred.shape != xt.shape:
         raise ShapeError("ddim_step: eps_pred shape mismatch")
     abar_t = sched.alpha_bar(t)

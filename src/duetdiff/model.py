@@ -27,7 +27,7 @@ from .denoiser import Denoiser, DenoiserConfig
 from .diffusion import NoiseSchedule, linear_schedule
 from .nn import named_params
 from .rng import Rng
-from .tensor import Tensor, reshape
+from .tensor import Tensor
 
 
 @dataclass(frozen=True)
@@ -117,26 +117,18 @@ class DiffusionModel:
     # -- prediction ---------------------------------------------------------
 
     def predict_eps(self, x_t: Tensor, t, cond: Tensor) -> Tensor:
-        """eps prediction for (N, C, H, W) input at step(s) t under condition cond."""
-        expected = (self.config.image_channels, self.config.canvas, self.config.canvas)
-        if x_t.shape[-3:] != expected:
-            raise ValueError(f"input shape {x_t.shape} does not end in {expected}")
-        seq = self.vocab.text_len + self.conditioner.image_tokens
-        if cond.shape[-2:] != (seq, self.config.d_embed):
-            raise ValueError(
-                f"condition shape {cond.shape} != (.., {seq}, {self.config.d_embed})"
-            )
+        """eps prediction for x_t (N, C, H, W) at step(s) t under cond (N, L, d).
+
+        t is an int or a per-row int array in [1, T].
+        """
+        c, hw = self.config.image_channels, self.config.canvas
+        if x_t.shape[1:] != (c, hw, hw):
+            raise ValueError(f"x_t shape {x_t.shape} != (N, {c}, {hw}, {hw})")
+        seq, d = self.vocab.text_len + self.conditioner.image_tokens, self.config.d_embed
+        if cond.shape != (x_t.shape[0], seq, d):
+            raise ValueError(f"condition shape {cond.shape} != ({x_t.shape[0]}, {seq}, {d})")
         for arg, value in (("x_t", x_t), ("cond", cond)):
             if value.dtype != self.dtype:
                 raise TypeError(f"predict_eps: {arg} dtype {value.dtype} != model dtype {self.dtype}")
-        t_arr = np.asarray(t)
-        if np.any(t_arr < 1) or np.any(t_arr > self.schedule.total_steps):
-            raise ValueError(f"t={t} outside schedule range [1, {self.schedule.total_steps}]")
-        squeeze = x_t.ndim == 3
-        if squeeze:
-            x_t = reshape(x_t, (1,) + x_t.shape)
-            cond = reshape(cond, (1,) + cond.shape) if cond.ndim == 2 else cond
-        out = self.denoiser(x_t, t, cond)
-        if squeeze:
-            out = reshape(out, out.shape[1:])
-        return out
+        self.schedule.check_t(t)
+        return self.denoiser(x_t, t, cond)

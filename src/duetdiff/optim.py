@@ -21,9 +21,8 @@ class Adam:
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
-    def step(self, grads: dict[str, np.ndarray], lr: float | None = None) -> None:
+    def step(self, grads: dict[str, np.ndarray]) -> None:
         self.step_count += 1
-        lr = self.lr if lr is None else lr
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.step_count
         c2 = 1.0 - b2 ** self.step_count
@@ -40,7 +39,7 @@ class Adam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * (g * g)
-            param.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            param.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
     def load_state(self, m: dict[str, np.ndarray], v: dict[str, np.ndarray], step_count: int) -> None:
         for name in self.params:

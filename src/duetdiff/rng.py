@@ -24,15 +24,7 @@ def _mix64(x: int) -> int:
 
 def _seed_state(seed: int) -> tuple[int, int, int, int]:
     """Expand a 64-bit seed into the 256-bit state via splitmix64."""
-    s = seed & _MASK64
-    words = []
-    for _ in range(4):
-        s = (s + _GOLDEN) & _MASK64
-        z = s
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        words.append(z ^ (z >> 31))
-    return tuple(words)
+    return tuple(_mix64((seed + k * _GOLDEN) & _MASK64) for k in range(4))
 
 
 def _fnv1a64(data: bytes) -> int:

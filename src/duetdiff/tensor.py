@@ -109,6 +109,9 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
+    def __rsub__(self, other):
+        return sub(other, self)
+
     def __mul__(self, other):
         return mul(self, other)
 
@@ -406,50 +409,39 @@ def conv2d_nhwc(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tens
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation (no kernel flip), CHW or NCHW input.
+    """2-D cross-correlation (no kernel flip) on (N, C, H, W) input.
 
     w is (C_out, C_in, kh, kw). Thin layout adapter over the channels-last
     kernel; gradients flow through the transposes.
     """
     if w.ndim != 4:
         raise ShapeError("conv2d: weight must be (C_out, C_in, kh, kw)")
-    squeeze = x.ndim == 3
-    if squeeze:
-        x = reshape(x, (1,) + x.shape)
     if x.ndim != 4:
-        raise ShapeError("conv2d: input must be (C,H,W) or (N,C,H,W)")
+        raise ShapeError("conv2d: input must be (N, C, H, W)")
     out = conv2d_nhwc(
         transpose(x, (0, 2, 3, 1)),
         transpose(w, (2, 3, 1, 0)),
         stride=stride,
         padding=padding,
     )
-    out = transpose(out, (0, 3, 1, 2))
-    if squeeze:
-        out = reshape(out, out.shape[1:])
-    return out
+    return transpose(out, (0, 3, 1, 2))
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     """Multi-head scaled dot-product attention over given projections.
 
-    q is (L_q, d) or (B, L_q, d); k and v share (.., L_k, d). Heads are
-    split from d, attended independently with scale 1/sqrt(d/n_heads), and
-    concatenated.
+    q is (B, L_q, d); k and v are (B, L_k, d). Heads are split from d,
+    attended independently with scale 1/sqrt(d/n_heads), and concatenated.
     """
-    d = q.shape[-1]
+    if q.ndim != 3 or k.ndim != 3 or v.ndim != 3:
+        raise ShapeError("attention: q, k and v must be (B, L, d)")
+    b, lq, d = q.shape
     if d % n_heads:
         raise ShapeError(f"attention: dim {d} not divisible by {n_heads} heads")
     if k.shape[-1] != d or v.shape[-1] != d:
         raise ShapeError("attention: q/k/v embedding dims differ")
     if k.shape[-2] != v.shape[-2]:
         raise ShapeError("attention: k and v sequence lengths differ")
-    squeeze = q.ndim == 2
-    if squeeze:
-        q = reshape(q, (1,) + q.shape)
-        k = reshape(k, (1,) + k.shape)
-        v = reshape(v, (1,) + v.shape)
-    b, lq = q.shape[0], q.shape[1]
     lk = k.shape[1]
     dh = d // n_heads
 
@@ -460,10 +452,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     scores = scale(matmul(qh, transpose(kh_, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
     weights = softmax(scores, axis=-1)
     out = matmul(weights, vh)
-    out = reshape(transpose(out, (0, 2, 1, 3)), (b, lq, d))
-    if squeeze:
-        out = reshape(out, (lq, d))
-    return out
+    return reshape(transpose(out, (0, 2, 1, 3)), (b, lq, d))
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ def test_schedule_recurrence_and_monotonicity(total, b0, b1):
     assert bars[-1] < 1.0
     prev = 1.0
     for t in range(1, total + 1):
-        expected = prev * sched.alpha(t)
+        expected = prev * (1.0 - sched.betas[t - 1])
         assert sched.alpha_bar(t) == pytest.approx(expected, rel=1e-12)
         prev = expected
 
@@ -161,6 +161,15 @@ def test_ddim_rejects_non_decreasing_pair():
         ddim_step(x, 5, 5, x, sched)
     with pytest.raises(ValueError):
         ddim_step(x, 5, 9, x, sched)
+
+
+def test_ddim_rejects_steps_outside_the_schedule():
+    sched = linear_schedule(20)
+    x = Tensor(np.zeros(2))
+    with pytest.raises(ValueError, match=r"t=21 outside schedule range \[0, 20\]"):
+        ddim_step(x, 21, 5, x, sched)
+    with pytest.raises(ValueError, match=r"t=-1 outside schedule range \[0, 20\]"):
+        ddim_step(x, 5, -1, x, sched)
 
 
 def _oracle_eps(x_star):

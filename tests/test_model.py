@@ -13,6 +13,7 @@ import pytest
 
 from duetdiff.conditioning import Conditioner
 from duetdiff.denoiser import Denoiser, DenoiserConfig
+from duetdiff.diffusion import ddpm_step, forward_diffuse
 from duetdiff.model import DiffusionModel, ModelConfig
 from duetdiff.nn import named_params, trunc_normal
 from duetdiff.rng import Rng
@@ -181,24 +182,49 @@ def test_rows_do_not_depend_on_other_rows():
                                    atol=1e-12 * np.max(np.abs(batched)))
 
 
-def test_unbatched_input_is_one_row():
-    model = tiny_model()
-    prompts, layouts, x_t, t = tiny_batch(model, 1)
-    cond = model.conditioner.fuse_joint(prompts, layouts)
-    one = model.predict_eps(Tensor(x_t.data[0]), int(t[0]), Tensor(cond.data[0])).data
-    assert np.array_equal(one, model.predict_eps(x_t, t, cond).data[0])
-
-
 def test_predict_eps_rejects_bad_input():
     model = tiny_model()
     prompts, layouts, x_t, t = tiny_batch(model, 1)
     cond = model.conditioner.fuse_joint(prompts, layouts)
-    with pytest.raises(ValueError, match="does not end in"):
+    with pytest.raises(ValueError, match="x_t shape"):
         model.predict_eps(Tensor(np.zeros((1, 3, 8, 8))), t, cond)
     with pytest.raises(ValueError, match="condition shape"):
         model.predict_eps(x_t, t, Tensor(cond.data[:, 1:]))
     with pytest.raises(ValueError, match="outside schedule range"):
         model.predict_eps(x_t, 0, cond)
+
+
+def test_predict_eps_takes_one_batched_form():
+    model = tiny_model()
+    prompts, layouts, x_t, t = tiny_batch(model, 2)
+    cond = model.conditioner.fuse_joint(prompts, layouts)
+    with pytest.raises(ValueError, match="x_t shape"):
+        model.predict_eps(Tensor(x_t.data[0]), int(t[0]), cond)
+    with pytest.raises(ValueError, match="condition shape"):
+        model.predict_eps(x_t, t, Tensor(cond.data[0]))
+    with pytest.raises(ValueError, match=r"condition shape \(1, 17, 16\) != \(2, 17, 16\)"):
+        model.predict_eps(x_t, t, Tensor(cond.data[:1]))
+
+
+@pytest.mark.parametrize("bad", [0, TINY.total_steps + 1])
+def test_every_step_index_is_checked_by_the_schedule(bad):
+    model = tiny_model()
+    sched = model.schedule
+    prompts, layouts, x_t, _ = tiny_batch(model, 2)
+    cond = model.conditioner.fuse_joint(prompts, layouts)
+    calls = {
+        "forward_diffuse": lambda t: forward_diffuse(x_t, t, x_t, sched),
+        "ddpm_step": lambda t: ddpm_step(x_t, t, x_t, None, sched),
+        "predict_eps (int t)": lambda t: model.predict_eps(x_t, t, cond),
+        "predict_eps (per-row t)": lambda t: model.predict_eps(x_t, np.array([1, t]), cond),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError) as exc:
+            call(bad)
+        assert str(exc.value).endswith(f"outside schedule range [1, {sched.total_steps}]"), name
+    for t in (-1, sched.total_steps + 1):
+        with pytest.raises(ValueError, match=rf"^t={t} outside schedule range \[0, {sched.total_steps}\]$"):
+            sched.alpha_bar(t)
 
 
 @pytest.mark.parametrize("arg", ["x_t", "cond"])

@@ -103,6 +103,16 @@ def test_a_scalar_operand_takes_the_tensor_dtype(op, expected):
     assert np.array_equal(second.data, op(Tensor(np.array([1.0, 2.0])), 2.0).data)
 
 
+def test_scalar_minus_tensor_is_sub():
+    t32 = Tensor(np.array([1.0, 2.0], np.float32), requires_grad=True)
+    with GradTape() as tape:
+        out = 2.0 - t32
+        loss = tsum(out)
+    assert out.dtype == np.float32
+    assert np.array_equal(out.data, sub(2.0, t32).data)
+    assert np.array_equal(tape.backward(loss)[t32], [-1.0, -1.0])
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_nonfinite_output_raises():
     big = Tensor(np.full(4, 1e308))
@@ -111,22 +121,22 @@ def test_nonfinite_output_raises():
 
 
 def test_conv2d_identity_kernel():
-    x = Tensor(np.arange(9, dtype=np.float64).reshape(1, 3, 3))
+    x = Tensor(np.arange(9, dtype=np.float64).reshape(1, 1, 3, 3))
     w = Tensor(np.ones((1, 1, 1, 1)))
     assert np.array_equal(conv2d(x, w).data, x.data)
 
 
 def test_conv2d_zero_kernel():
-    x = Tensor(np.random.default_rng(0).normal(size=(2, 5, 5)))
+    x = Tensor(np.random.default_rng(0).normal(size=(1, 2, 5, 5)))
     w = Tensor(np.zeros((3, 2, 3, 3)))
     assert np.all(conv2d(x, w, padding=1).data == 0.0)
 
 
 def test_conv2d_output_extent():
-    x = Tensor(np.ones((1, 16, 16)))
+    x = Tensor(np.ones((1, 1, 16, 16)))
     w = Tensor(np.ones((4, 1, 4, 4)))
     out = conv2d(x, w, stride=2, padding=1)
-    assert out.shape == (4, 8, 8)
+    assert out.shape == (1, 4, 8, 8)
 
 
 def test_conv2d_adapter_equals_nhwc_kernel_on_transposed_operands():
@@ -139,8 +149,13 @@ def test_conv2d_adapter_equals_nhwc_kernel_on_transposed_operands():
     assert np.array_equal(out.transpose(0, 3, 1, 2), ref)
 
 
+def test_conv2d_rejects_unbatched_input():
+    with pytest.raises(ShapeError, match=r"\(N, C, H, W\)"):
+        conv2d(Tensor(np.ones((1, 5, 5))), Tensor(np.ones((1, 1, 3, 3))))
+
+
 def test_conv2d_non_integral_extent_rejected():
-    x = Tensor(np.ones((1, 16, 16)))
+    x = Tensor(np.ones((1, 1, 16, 16)))
     w = Tensor(np.ones((1, 1, 3, 3)))
     with pytest.raises(ShapeError):
         conv2d(x, w, stride=2, padding=1)
@@ -148,26 +163,32 @@ def test_conv2d_non_integral_extent_rejected():
 
 def test_attention_singleton_key_returns_value():
     rng = Rng(3)
-    q = Tensor(_rand(rng, (5, 8)))
-    k = Tensor(_rand(rng, (1, 8)))
-    v = Tensor(_rand(rng, (1, 8)))
+    q = Tensor(_rand(rng, (1, 5, 8)))
+    k = Tensor(_rand(rng, (1, 1, 8)))
+    v = Tensor(_rand(rng, (1, 1, 8)))
     out = attention(q, k, v, n_heads=2)
-    assert np.allclose(out.data, np.broadcast_to(v.data, (5, 8)), atol=1e-12)
+    assert np.allclose(out.data, np.broadcast_to(v.data, (1, 5, 8)), atol=1e-12)
 
 
 def test_attention_weights_normalized():
     # rows of softmaxed scores must sum to 1; probe via constant values
     rng = Rng(4)
-    q = Tensor(_rand(rng, (4, 8)))
-    k = Tensor(_rand(rng, (6, 8)))
-    v = Tensor(np.ones((6, 8)))
+    q = Tensor(_rand(rng, (1, 4, 8)))
+    k = Tensor(_rand(rng, (1, 6, 8)))
+    v = Tensor(np.ones((1, 6, 8)))
     out = attention(q, k, v, n_heads=2)
     assert np.allclose(out.data, 1.0, atol=1e-6)
 
 
+def test_attention_rejects_unbatched_input():
+    t = Tensor(np.ones((2, 8)))
+    with pytest.raises(ShapeError, match=r"\(B, L, d\)"):
+        attention(t, t, t, n_heads=2)
+
+
 def test_attention_head_divisibility():
-    t = Tensor(np.ones((2, 6)))
-    with pytest.raises(ShapeError):
+    t = Tensor(np.ones((1, 2, 6)))
+    with pytest.raises(ShapeError, match="not divisible"):
         attention(t, t, t, n_heads=4)
 
 
@@ -329,13 +350,13 @@ def test_grad_softmax(case):
 
 @pytest.mark.parametrize("case", range(28))
 def test_grad_conv2d(case):
-    # cases 0-19: the CHW adapter; 20-27: the batched channels-last kernel,
-    # with stride 2 in every other case
+    # cases 0-19: the NCHW adapter; 20-27: the channels-last kernel, with
+    # stride 2 in every other case
     rng = Rng(700 + case)
     if case < 20:
         stride = 1 + int(rng.integers(1, 2)[0])
         pad = int(rng.integers(1, 2)[0])
-        x = _rand(rng, (2, 8, 8))
+        x = _rand(rng, (1, 2, 8, 8))
         kh = 3 if (8 + 2 * pad - 3) % stride == 0 else 2
         w = _rand(rng, (3, 2, kh, kh))
         op = conv2d
@@ -355,9 +376,9 @@ def test_grad_conv2d(case):
 @pytest.mark.parametrize("case", range(20))
 def test_grad_attention(case):
     rng = Rng(800 + case)
-    q = _rand(rng, (4, 8))
-    k = _rand(rng, (5, 8))
-    v = _rand(rng, (5, 8))
+    q = _rand(rng, (1, 4, 8))
+    k = _rand(rng, (1, 5, 8))
+    v = _rand(rng, (1, 5, 8))
 
     def build(ts):
         return _weighted(rng.split("w"), attention(ts[0], ts[1], ts[2], n_heads=2))
