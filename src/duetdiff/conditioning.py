@@ -86,12 +86,11 @@ class ImageEncoder:
     determined by the input size and the number of blocks.
     """
 
-    def __init__(self, rng: Rng, in_channels: int = 1, channels: tuple[int, ...] = (16, 32),
-                 out_channels: int = 32, d_embed: int = 64):
-        self.channels = tuple(channels)
+    def __init__(self, rng: Rng, in_channels: int, channels: tuple[int, ...], out_channels: int,
+                 d_embed: int):
         self.blocks = []
         c_prev = in_channels
-        for i, c in enumerate(self.channels):
+        for i, c in enumerate(channels):
             r = rng.split(f"block{i}")
             self.blocks.append({
                 "conv1": Conv2dLayer(r.split("conv1"), c_prev, c, 4, stride=2, padding=1),
@@ -103,7 +102,6 @@ class ImageEncoder:
                                      stride=1, padding=1)
         self.proj = Linear(rng.split("proj"), out_channels, d_embed)
         self.out_channels = out_channels
-        self.d_embed = d_embed
 
     def token_count(self, height: int, width: int) -> int:
         factor = 2 ** len(self.blocks)
@@ -155,10 +153,9 @@ class FusionTransformer:
 class Conditioner:
     """Bundles the encoders, fusion transformer, and null embeddings."""
 
-    def __init__(self, rng: Rng, vocab: PromptVocab, canvas: int, cond_channels: int = 1,
-                 d_embed: int = 64, encoder_channels: tuple[int, ...] = (16, 32),
-                 encoder_out_channels: int = 32, n_layers: int = 2, n_heads: int = 4,
-                 d_hidden: int = 256):
+    def __init__(self, rng: Rng, vocab: PromptVocab, canvas: int, cond_channels: int,
+                 d_embed: int, encoder_channels: tuple[int, ...], encoder_out_channels: int,
+                 n_layers: int, n_heads: int, d_hidden: int):
         self.vocab = vocab
         self.prompt_encoder = PromptEncoder(rng.split("prompt"), vocab, d_embed)
         self.image_encoder = ImageEncoder(rng.split("image"), cond_channels, encoder_channels,

@@ -67,7 +67,6 @@ class SpatialAttnBlock:
     """Self-attention, condition cross-attention, and MLP over HW tokens."""
 
     def __init__(self, rng: Rng, channels: int, cond_dim: int, n_heads: int):
-        self.channels = channels
         self.norm1 = LayerNormAffine(channels)
         self.self_attn = SelfAttention(rng.split("self"), channels, n_heads)
         self.norm2 = LayerNormAffine(channels)
@@ -89,7 +88,6 @@ class Denoiser:
 
     def __init__(self, rng: Rng, config: DenoiserConfig, canvas: int):
         self.config = config
-        self.canvas = canvas
         chans = config.channels()
         levels = len(chans)
         factor = 2 ** (levels - 1)
@@ -153,10 +151,12 @@ class Denoiser:
         return self.time_fc2(silu(self.time_fc1(emb)))
 
     def __call__(self, x: Tensor, t, cond: Tensor) -> Tensor:
-        """x is (N, C, H, W); t is an int or per-sample array; cond is (N, L, d)."""
+        """x is (N, C, H, W); t is an int (any 0-d value) or an (N,) array; cond is (N, L, d)."""
         if x.ndim != 4:
             raise ValueError("denoiser expects (N, C, H, W)")
-        t_arr = np.full(x.shape[0], t, dtype=np.int64) if np.isscalar(t) else np.asarray(t)
+        t_arr = np.asarray(t)
+        if t_arr.ndim == 0:
+            t_arr = np.full(x.shape[0], t_arr, dtype=np.int64)
         if t_arr.shape != (x.shape[0],):
             raise ValueError(f"t batch {t_arr.shape} != input batch {x.shape[0]}")
         temb = self.time_features(t_arr)

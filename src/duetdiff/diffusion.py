@@ -17,12 +17,14 @@ from .rng import Rng
 from .tensor import ShapeError, Tensor, add, gaussian, mul, scale, sub
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseSchedule:
     """Per-step noise variances and the derived signal-retention table.
 
     betas[t-1] is the variance added at step t; alpha_bars[t-1] is the
     cumulative product of (1 - beta) up to t. Tables are float64.
+    Equality and hashing are by identity; compare ``betas`` with
+    ``np.array_equal`` for equal values.
     """
 
     betas: np.ndarray

@@ -92,9 +92,6 @@ class DiffusionModel:
     def buffers(self) -> dict[str, np.ndarray]:
         return {name: t.data for name, t in self._tensors().items() if not t.requires_grad}
 
-    def param_count(self) -> int:
-        return sum(p.size for p in self.params().values())
-
     def load_tensors(self, tensors: dict[str, np.ndarray]) -> None:
         """Copy named arrays into parameters and frozen buffers.
 

@@ -8,9 +8,7 @@ an exact reference.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -152,28 +150,3 @@ def generate_dataset(n: int, canvas: int, seed: int, namespace: str = "scene") -
         )
     return samples
 
-
-def persist_dataset(samples: list[Sample], out_dir: str | Path) -> Path:
-    """Write targets (PPM), layouts (PGM), and a JSONL manifest."""
-    from .imageio import write_pgm, write_ppm
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = out / "manifest.jsonl"
-    with manifest.open("w", encoding="utf-8") as fh:
-        for i, s in enumerate(samples):
-            target_name = f"target_{i:05d}.ppm"
-            layout_name = f"layout_{i:05d}.pgm"
-            write_ppm(s.target, out / target_name)
-            write_pgm(s.layout, out / layout_name)
-            record = {
-                "index": i,
-                "shape": s.scene.shape,
-                "color": s.scene.color,
-                "center": list(s.scene.center),
-                "size": s.scene.size,
-                "target": target_name,
-                "layout": layout_name,
-            }
-            fh.write(json.dumps(record) + "\n")
-    return manifest

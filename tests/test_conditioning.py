@@ -16,7 +16,7 @@ CANVAS = 12
 
 
 def _conditioner() -> Conditioner:
-    return Conditioner(Rng(0), PromptVocab(), canvas=CANVAS, d_embed=D,
+    return Conditioner(Rng(0), PromptVocab(), canvas=CANVAS, cond_channels=1, d_embed=D,
                        encoder_channels=(4, 8), encoder_out_channels=8,
                        n_layers=2, n_heads=2, d_hidden=32)
 

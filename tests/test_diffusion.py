@@ -40,6 +40,14 @@ def test_schedule_rejects_bad_betas():
         NoiseSchedule(np.array([0.1, 1.0]))
 
 
+def test_schedule_equality_is_identity():
+    a, b = linear_schedule(10), linear_schedule(10)
+    assert (a == b) is False
+    assert a == a
+    assert hash(a) == hash(a)
+    assert np.array_equal(a.betas, b.betas)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(min_value=1, max_value=200),

@@ -120,9 +120,11 @@ def test_layers_built_alone_are_float64():
     model = DiffusionModel(TINY, rng=Rng(0), dtype=np.float64)
     den = Denoiser(Rng(0).split("denoiser"), TINY.denoiser, TINY.canvas)
     cond = Conditioner(Rng(0).split("conditioner"), model.vocab, canvas=TINY.canvas,
-                       d_embed=TINY.d_embed, encoder_channels=TINY.encoder_channels,
+                       cond_channels=TINY.cond_channels, d_embed=TINY.d_embed,
+                       encoder_channels=TINY.encoder_channels,
                        encoder_out_channels=TINY.encoder_out_channels,
-                       n_heads=TINY.fusion_heads, d_hidden=TINY.fusion_hidden)
+                       n_layers=TINY.fusion_layers, n_heads=TINY.fusion_heads,
+                       d_hidden=TINY.fusion_hidden)
     leaves = {**named_params(cond, "cond"), **named_params(den, "denoiser")}
     assert len(leaves) == len(model.params()) + len(model.buffers())
     assert all(t.dtype == np.float64 for t in leaves.values())
@@ -204,6 +206,16 @@ def test_predict_eps_takes_one_batched_form():
         model.predict_eps(x_t, t, Tensor(cond.data[0]))
     with pytest.raises(ValueError, match=r"condition shape \(1, 17, 16\) != \(2, 17, 16\)"):
         model.predict_eps(x_t, t, Tensor(cond.data[:1]))
+
+
+def test_a_0d_t_is_the_int_t():
+    model = tiny_model()
+    prompts, layouts, x_t, _ = tiny_batch(model, 3)
+    cond = model.conditioner.fuse_joint(prompts, layouts)
+    expected = model.predict_eps(x_t, 5, cond).data
+    assert np.array_equal(model.predict_eps(x_t, np.asarray(5), cond).data, expected)
+    with pytest.raises(ValueError, match=r"t batch \(1,\) != input batch 3"):
+        model.predict_eps(x_t, np.array([5]), cond)
 
 
 @pytest.mark.parametrize("bad", [0, TINY.total_steps + 1])

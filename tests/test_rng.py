@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from duetdiff.rng import Rng, _fill, _fill_py
+from duetdiff.rng import Rng
 
 
 def test_same_seed_same_stream():
@@ -12,21 +12,12 @@ def test_same_seed_same_stream():
 
 def test_fixed_seed_reference_vector():
     # frozen so stream changes are caught across refactors
-    raw = Rng(0).raw64(4)
+    rng = Rng(0)
+    raw = rng.raw64(4)
     assert list(raw) == [5987356902031041503, 7051070477665621255,
                          6633766593972829180, 211316841551650330]
-
-
-def test_kernel_matches_reference_implementation():
-    rng = Rng(123)
-    state_a = rng._state.copy()
-    state_b = rng._state.copy()
-    out_a = np.empty(257, dtype=np.uint64)
-    out_b = np.empty(257, dtype=np.uint64)
-    _fill(state_a, out_a)
-    _fill_py(state_b, out_b)
-    assert np.array_equal(out_a, out_b)
-    assert np.array_equal(state_a, state_b)
+    assert rng.state == (12819629529729991464, 6045577685951396115,
+                         2295764409171266266, 10290457378594590359)
 
 
 def test_gaussian_moments():
