@@ -3,7 +3,7 @@
 Step-index contract: a step ``t`` is an int or a per-row int array in
 [1, T], where T is the schedule's ``total_steps``. A reverse step's target
 ``t_prev`` may also be 0, the clean data, and ``alpha_bar(0) == 1``.
-``NoiseSchedule.check_t`` holds this range check for every caller.
+``NoiseSchedule.check_t`` holds this dtype and range check for every caller.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import Rng
-from .tensor import ShapeError, Tensor, add, gaussian, mul, scale, sub
+from .tensor import ShapeError, Tensor, add, mul, scale, sub
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,8 +47,10 @@ class NoiseSchedule:
         return self.betas.size
 
     def check_t(self, t, lo: int = 1) -> np.ndarray:
-        """``t`` as an array, after checking every entry lies in [lo, T]."""
+        """``t`` as an integer array, after checking every entry lies in [lo, T]."""
         t_arr = np.asarray(t)
+        if not np.issubdtype(t_arr.dtype, np.integer):
+            raise TypeError(f"t={t} has dtype {t_arr.dtype}; a step must be an integer")
         if np.any(t_arr < lo) or np.any(t_arr > self.total_steps):
             raise ValueError(f"t={t} outside schedule range [{lo}, {self.total_steps}]")
         return t_arr
@@ -136,5 +138,5 @@ def sdedit_init(cond_image: Tensor, strength: float, step_times: list[int],
     if start_index == 0:
         return cond_image, 0
     t_start = step_times[n - start_index]
-    eps = gaussian(rng, cond_image.shape, dtype=cond_image.data.dtype)
+    eps = Tensor(rng.gaussian(cond_image.shape, dtype=cond_image.data.dtype))
     return forward_diffuse(cond_image, t_start, eps, sched), start_index

@@ -11,8 +11,6 @@ import threading
 
 import numpy as np
 
-from .rng import Rng
-
 
 class ShapeError(ValueError):
     """Operand shapes do not satisfy an op's contract."""
@@ -563,8 +561,3 @@ def upsample2x(x: Tensor) -> Tensor:
         return (g.reshape((*lead, h2 // 2, 2, w2 // 2, 2, c)).sum(axis=(-2, -4)),)
 
     return _record("upsample2x", out, (x,), vjp, check=False)
-
-
-def gaussian(rng: Rng, shape, dtype=np.float64) -> Tensor:
-    """Standard-normal tensor drawn from the given stream (untracked)."""
-    return Tensor(rng.gaussian(shape, dtype))

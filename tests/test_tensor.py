@@ -15,7 +15,6 @@ from duetdiff.tensor import (
     concat,
     conv2d,
     conv2d_nhwc,
-    gaussian,
     layer_norm,
     matmul,
     mul,
@@ -198,12 +197,6 @@ def test_upsample2x_values():
     assert out.shape == (4, 4, 2)
     assert np.array_equal(out.data[:2, :2, 0], [[1.0, 1.0], [1.0, 1.0]])
     assert np.array_equal(out.data[2:, 2:, 1], [[40.0, 40.0], [40.0, 40.0]])
-
-
-def test_gaussian_deterministic():
-    a = gaussian(Rng(42), (4,))
-    b = gaussian(Rng(42), (4,))
-    assert np.array_equal(a.data, b.data)
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +433,8 @@ def test_broadcast_totality(shape_a, shape_b):
 
 def test_ops_are_pure():
     rng1, rng2 = Rng(77), Rng(77)
-    x1 = gaussian(rng1, (3, 3))
-    x2 = gaussian(rng2, (3, 3))
+    x1 = Tensor(rng1.gaussian((3, 3)))
+    x2 = Tensor(rng2.gaussian((3, 3)))
     out1 = softmax(silu(mul(x1, x1)))
     out2 = softmax(silu(mul(x2, x2)))
     assert np.array_equal(out1.data, out2.data)
