@@ -23,7 +23,7 @@ from .tensor import (
     attention,
     conv2d_nhwc,
     layer_norm,
-    matmul,
+    linear,
     mul,
     silu,
     slice_axis,
@@ -56,7 +56,7 @@ class Linear:
         self.b = _param(np.zeros(d_out))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return add(matmul(x, self.w), self.b)
+        return linear(x, self.w, self.b)
 
 
 class Conv2dLayer:

@@ -356,16 +356,85 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", out, (a, b), vjp)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ w + b`` over the trailing axis, as one tape record.
+
+    x is (..., d_in), w is (d_in, d_out), b is (d_out,). The backward gives
+    the weight gradient as one GEMM over all leading rows and the bias
+    gradient as a row sum.
+    """
+    _check_dtypes("linear", x, w)
+    _check_dtypes("linear", x, b)
+    if x.ndim < 2 or w.ndim != 2 or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear: need x (..., d_in), w (d_in, d_out), b (d_out,); "
+                         f"got {x.shape}, {w.shape}, {b.shape}")
+    if x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear: inner extents {x.shape} x {w.shape} do not match")
+    out = np.matmul(x.data, w.data)
+    out += b.data
+
+    def vjp(g, live):
+        d_in, d_out = w.shape
+        g2 = g.reshape(-1, d_out)
+        gx = np.matmul(g, w.data.T) if live[0] else None
+        gw = x.data.reshape(-1, d_in).T @ g2 if live[1] else None
+        gb = g2.sum(axis=0) if live[2] else None
+        return (gx, gw, gb)
+
+    return _record("linear", out, (x, w, b), vjp)
+
+
+def _pad_hw(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """Zero-pad H and W of (N, H, W, C) by ph and pw on each side.
+
+    A negative amount crops that many rows or columns from each side
+    instead. Padding writes into one preallocated buffer.
+    """
+    if ph < 0 or pw < 0:
+        ch, cw = max(-ph, 0), max(-pw, 0)
+        a = a[:, ch : a.shape[1] - ch, cw : a.shape[2] - cw]
+        ph, pw = max(ph, 0), max(pw, 0)
+    if not (ph or pw):
+        return a
+    n, h, wd, c = a.shape
+    out = np.zeros((n, h + 2 * ph, wd + 2 * pw, c), dtype=a.dtype)
+    out[:, ph : ph + h, pw : pw + wd] = a
+    return out
+
+
+def _im2col(a: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """(N, H, W, C) -> (N * OH * OW, kh * kw * C) windows in (kh, kw, C) order."""
+    win = np.lib.stride_tricks.sliding_window_view(a, (kh, kw), axis=(1, 2))
+    win = win[:, ::stride, ::stride]  # (N, OH, OW, C, kh, kw)
+    n, oh, ow, c = win.shape[:4]
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, kh * kw * c)
+
+
 def conv2d_nhwc(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation on channels-last input.
+    """2-D cross-correlation on channels-last input, as one tape record.
 
     x is (N, H, W, C_in), w is (kh, kw, C_in, C_out). Channels-last keeps
     the im2col gather contiguous, which is why the network runs in this
-    layout. Output extents must divide exactly.
+    layout. Output extents must divide exactly. ``stride`` and ``padding``
+    must be integers, ``stride`` >= 1 and ``padding`` >= 0.
+
+    Forward is one im2col GEMM. Backward gives the weight gradient as one
+    GEMM of the saved columns with the output gradient. The input gradient
+    depends on the stride alone. At stride 1 it is one im2col GEMM: the
+    output gradient is padded by (kh-1, kw-1) and cropped by ``padding``,
+    done as one pad of (kh-1-padding, kw-1-padding), then gathered into
+    windows and multiplied by the flipped kernel (kh, kw, C_out, C_in).
+    At stride > 1 it scatters the column gradient back, one kh x kw offset
+    at a time. The output is checked for non-finite values.
     """
     _check_dtypes("conv2d", x, w)
+    for name, value in (("stride", stride), ("padding", padding)):
+        if not isinstance(value, (int, np.integer)):
+            raise ShapeError(f"conv2d: {name} must be an integer, got {value!r}")
     if stride < 1:
-        raise ShapeError("conv2d: stride must be >= 1")
+        raise ShapeError(f"conv2d: stride must be >= 1, got {stride}")
+    if padding < 0:
+        raise ShapeError(f"conv2d: padding must be >= 0, got {padding}")
     if w.ndim != 4:
         raise ShapeError("conv2d: weight must be (kh, kw, C_in, C_out)")
     if x.ndim != 4:
@@ -382,10 +451,7 @@ def conv2d_nhwc(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tens
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
 
-    xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding), (0, 0))) if padding else x.data
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    win = win[:, ::stride, ::stride]  # (N, OH, OW, C, kh, kw)
-    cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, kh * kw * ci)
+    cols = _im2col(_pad_hw(x.data, padding, padding), kh, kw, stride)
     wmat = w.data.reshape(kh * kw * ci, co)
     out = (cols @ wmat).reshape(n, oh, ow, co)
 
@@ -394,7 +460,11 @@ def conv2d_nhwc(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tens
         gw = gx = None
         if live[1]:
             gw = (cols.T @ gmat).reshape(w.shape)
-        if live[0]:
+        if live[0] and stride == 1:
+            gcols = _im2col(_pad_hw(g, kh - 1 - padding, kw - 1 - padding), kh, kw, 1)
+            flipped = w.data[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kh * kw * co, ci)
+            gx = (gcols @ flipped).reshape(n, h, wd, ci)
+        elif live[0]:
             dcols = (gmat @ wmat.T).reshape(n, oh, ow, kh, kw, ci)
             dxp = np.zeros((n, hp, wp, ci), dtype=g.dtype)
             for i in range(kh):
@@ -430,10 +500,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
 
     q is (B, L_q, d); k and v are (B, L_k, d). Heads are split from d,
     attended independently with scale 1/sqrt(d/n_heads), and concatenated.
+
+    One tape record: the head split, Q K^T times the scale, the
+    max-shifted softmax and the product with V all run in numpy inside
+    the op, in that order. Backward is written out by hand from the saved
+    softmax weights. Both the scores and the output are checked for
+    non-finite values, and a failure names ``attention``.
     """
     if q.ndim != 3 or k.ndim != 3 or v.ndim != 3:
         raise ShapeError("attention: q, k and v must be (B, L, d)")
+    _check_dtypes("attention", q, k)
+    _check_dtypes("attention", q, v)
+    if not isinstance(n_heads, (int, np.integer)) or n_heads < 1:
+        raise ShapeError(f"attention: n_heads must be an integer >= 1, got {n_heads!r}")
     b, lq, d = q.shape
+    if k.shape[0] != b or v.shape[0] != b:
+        raise ShapeError(f"attention: q, k and v batch sizes differ: {q.shape}, {k.shape}, {v.shape}")
     if d % n_heads:
         raise ShapeError(f"attention: dim {d} not divisible by {n_heads} heads")
     if k.shape[-1] != d or v.shape[-1] != d:
@@ -442,15 +524,40 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
         raise ShapeError("attention: k and v sequence lengths differ")
     lk = k.shape[1]
     dh = d // n_heads
+    s = 1.0 / float(np.sqrt(dh))
 
-    def heads(t, length):
-        return transpose(reshape(t, (b, length, n_heads, dh)), (0, 2, 1, 3))
+    def heads(a, length):
+        return a.reshape(b, length, n_heads, dh).transpose(0, 2, 1, 3)
 
-    qh, kh_, vh = heads(q, lq), heads(k, lk), heads(v, lk)
-    scores = scale(matmul(qh, transpose(kh_, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-    weights = softmax(scores, axis=-1)
-    out = matmul(weights, vh)
-    return reshape(transpose(out, (0, 2, 1, 3)), (b, lq, d))
+    def merge(a, length):
+        return a.transpose(0, 2, 1, 3).reshape(b, length, d)
+
+    qh, kh, vh = heads(q.data, lq), heads(k.data, lk), heads(v.data, lk)
+    weights = np.matmul(qh, kh.transpose(0, 1, 3, 2))
+    weights *= s
+    _assert_finite("attention", weights)
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    out = merge(np.matmul(weights, vh), lq)
+
+    def vjp(g, live):
+        gh = heads(g, lq)
+        gq = gk = gv = None
+        if live[2]:
+            gv = merge(np.matmul(weights.transpose(0, 1, 3, 2), gh), lk)
+        if live[0] or live[1]:
+            gs = np.matmul(gh, vh.transpose(0, 1, 3, 2))
+            gs -= (gs * weights).sum(axis=-1, keepdims=True)
+            gs *= weights
+            gs *= s
+            if live[0]:
+                gq = merge(np.matmul(gs, kh), lq)
+            if live[1]:
+                gk = merge(np.matmul(gs.transpose(0, 1, 3, 2), qh), lk)
+        return (gq, gk, gv)
+
+    return _record("attention", out, (q, k, v), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from duetdiff.nn import Linear
 from duetdiff.rng import Rng
 from duetdiff.tensor import (
     GradTape,
@@ -16,6 +17,7 @@ from duetdiff.tensor import (
     conv2d,
     conv2d_nhwc,
     layer_norm,
+    linear,
     matmul,
     mul,
     reshape,
@@ -160,6 +162,19 @@ def test_conv2d_non_integral_extent_rejected():
         conv2d(x, w, stride=2, padding=1)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"padding": -1}, "padding must be >= 0, got -1"),
+    ({"stride": 0}, "stride must be >= 1, got 0"),
+    ({"stride": 1.5}, "stride must be an integer, got 1.5"),
+    ({"padding": 1.0}, "padding must be an integer, got 1.0"),
+], ids=["negative-padding", "zero-stride", "float-stride", "float-padding"])
+def test_conv2d_rejects_bad_stride_and_padding(kwargs, message):
+    x = Tensor(np.ones((1, 6, 6, 2)))
+    w = Tensor(np.ones((3, 3, 2, 2)))
+    with pytest.raises(ShapeError, match=message):
+        conv2d_nhwc(x, w, **kwargs)
+
+
 def test_attention_singleton_key_returns_value():
     rng = Rng(3)
     q = Tensor(_rand(rng, (1, 5, 8)))
@@ -189,6 +204,30 @@ def test_attention_head_divisibility():
     t = Tensor(np.ones((1, 2, 6)))
     with pytest.raises(ShapeError, match="not divisible"):
         attention(t, t, t, n_heads=4)
+
+
+@pytest.mark.parametrize("n_heads", [0, -4])
+def test_attention_rejects_non_positive_heads(n_heads):
+    t = Tensor(np.ones((1, 4, 8)))
+    with pytest.raises(ShapeError, match=f"n_heads must be an integer >= 1, got {n_heads}"):
+        attention(t, t, t, n_heads=n_heads)
+
+
+def test_attention_rejects_batch_mismatch():
+    q = Tensor(np.ones((2, 4, 8)))
+    kv = Tensor(np.ones((1, 4, 8)))
+    with pytest.raises(ShapeError, match=r"batch sizes differ: \(2, 4, 8\), \(1, 4, 8\), \(1, 4, 8\)"):
+        attention(q, kv, kv, n_heads=2)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_attention_names_itself_when_scores_overflow():
+    # one score overflows to -inf; the softmax would silently give that key
+    # weight 0, so only the check on the scores catches it
+    q = Tensor(np.array([[[1e200, 0.0]]]))
+    k = Tensor(np.array([[[-1e200, 0.0], [0.0, 1.0]]]))
+    with pytest.raises(NonFiniteError, match="attention"):
+        attention(q, k, k, n_heads=1)
 
 
 def test_upsample2x_values():
@@ -341,10 +380,18 @@ def test_grad_softmax(case):
     assert err <= 1e-5
 
 
-@pytest.mark.parametrize("case", range(28))
+# (kh, kw, stride, padding) of every conv the network runs, plus two
+# non-square kernels at stride 1: one pads H and W differently, the other
+# crops H where the stride-1 input gradient pads by kh - 1 - padding < 0
+_NETWORK_CONVS = [(1, 1, 1, 0), (2, 2, 2, 0), (4, 4, 2, 1), (3, 3, 1, 1), (3, 3, 1, 2),
+                  (2, 3, 1, 1), (2, 3, 1, 2)]
+
+
+@pytest.mark.parametrize("case", range(28 + len(_NETWORK_CONVS)))
 def test_grad_conv2d(case):
     # cases 0-19: the NCHW adapter; 20-27: the channels-last kernel, with
-    # stride 2 in every other case
+    # stride 2 in every other case; 28 on: the channels-last kernel at each
+    # shape of _NETWORK_CONVS, on an input with H != W
     rng = Rng(700 + case)
     if case < 20:
         stride = 1 + int(rng.integers(1, 2)[0])
@@ -353,11 +400,16 @@ def test_grad_conv2d(case):
         kh = 3 if (8 + 2 * pad - 3) % stride == 0 else 2
         w = _rand(rng, (3, 2, kh, kh))
         op = conv2d
-    else:
+    elif case < 28:
         stride, pad = 1 + case % 2, int(rng.integers(1, 2)[0])
         x = _rand(rng, (2, 6, 6, 3))
         kh = 3 if (6 + 2 * pad - 3) % stride == 0 else 4
         w = _rand(rng, (kh, kh, 3, 2))
+        op = conv2d_nhwc
+    else:
+        kh, kw, stride, pad = _NETWORK_CONVS[case - 28]
+        x = _rand(rng, (2, 8, 6, 3))
+        w = _rand(rng, (kh, kw, 3, 2))
         op = conv2d_nhwc
 
     def build(ts):
@@ -377,6 +429,86 @@ def test_grad_attention(case):
         return _weighted(rng.split("w"), attention(ts[0], ts[1], ts[2], n_heads=2))
 
     assert _grad_check(build, [q, k, v], 1e-4) <= 1e-4
+
+
+def _composed_attention(q, k, v, n_heads):
+    # the attention op as it was before fusion: 13 tape records
+    b, lq, d = q.shape
+    lk, dh = k.shape[1], d // n_heads
+
+    def heads(t, length):
+        return transpose(reshape(t, (b, length, n_heads, dh)), (0, 2, 1, 3))
+
+    qh, kh, vh = heads(q, lq), heads(k, lk), heads(v, lk)
+    scores = scale(matmul(qh, transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+    out = matmul(softmax(scores, axis=-1), vh)
+    return reshape(transpose(out, (0, 2, 1, 3)), (b, lq, d))
+
+
+def _outputs_and_grads(op, arrays, weights):
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    with GradTape() as tape:
+        out = op(*leaves)
+        loss = tsum(mul(out, Tensor(weights)))
+    grads = tape.backward(loss)
+    return out.data, [grads[leaf] for leaf in leaves]
+
+
+def _max_rel_l2(got, want):
+    return max(np.linalg.norm(g - r) / np.linalg.norm(r) for g, r in zip(got, want))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lq, lk", [(6, 6), (6, 3)], ids=["self", "cross"])
+def test_fused_attention_matches_the_composed_ops(dtype, lq, lk):
+    rng = Rng(31)
+    q = _rand(rng, (2, lq, 8)).astype(dtype)
+    k = _rand(rng, (2, lk, 8)).astype(dtype)
+    v = _rand(rng, (2, lk, 8)).astype(dtype)
+    weights = _rand(rng, (2, lq, 8)).astype(dtype)
+    out, grads = _outputs_and_grads(lambda *t: attention(*t, n_heads=2), [q, k, v], weights)
+    ref_out, ref_grads = _outputs_and_grads(lambda *t: _composed_attention(*t, n_heads=2),
+                                            [q, k, v], weights)
+    assert out.dtype == ref_out.dtype and np.array_equal(out, ref_out)
+    if dtype == np.float64:
+        assert _max_rel_l2(grads, ref_grads) <= 1e-12
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape", [(5, 4), (2, 5, 4)], ids=["rows", "batched"])
+def test_linear_matches_matmul_plus_bias(dtype, x_shape):
+    rng = Rng(32)
+    x = _rand(rng, x_shape).astype(dtype)
+    w = _rand(rng, (4, 3)).astype(dtype)
+    b = _rand(rng, (3,)).astype(dtype)
+    weights = _rand(rng, x_shape[:-1] + (3,)).astype(dtype)
+    out, grads = _outputs_and_grads(linear, [x, w, b], weights)
+    ref_out, ref_grads = _outputs_and_grads(lambda x, w, b: add(matmul(x, w), b), [x, w, b], weights)
+    assert out.dtype == ref_out.dtype and np.array_equal(out, ref_out)
+    if dtype == np.float64:
+        assert _max_rel_l2(grads, ref_grads) <= 1e-12
+
+
+@pytest.mark.parametrize("x_shape, w_shape, b_shape, message", [
+    ((5,), (5, 3), (3,), "need x"),
+    ((2, 5), (5, 3, 1), (3,), "need x"),
+    ((2, 5), (5, 3), (5,), "need x"),
+    ((2, 4), (5, 3), (3,), "inner extents"),
+], ids=["1-d-input", "3-d-weight", "bias-extent", "inner-extent"])
+def test_linear_rejects_mismatched_shapes(x_shape, w_shape, b_shape, message):
+    with pytest.raises(ShapeError, match=message):
+        linear(Tensor(np.ones(x_shape)), Tensor(np.ones(w_shape)), Tensor(np.ones(b_shape)))
+
+
+def test_attention_and_linear_each_add_one_tape_record():
+    rng = Rng(33)
+    q = Tensor(_rand(rng, (2, 6, 8)), requires_grad=True)
+    layer = Linear(rng, 8, 8)
+    with GradTape() as tape:
+        attention(q, q, q, n_heads=2)
+        assert len(tape._records) == 1
+        layer(q)
+        assert len(tape._records) == 2
 
 
 @pytest.mark.parametrize("case", range(10))
