@@ -24,7 +24,6 @@ from .tensor import (
     conv2d_nhwc,
     layer_norm,
     linear,
-    mul,
     silu,
     slice_axis,
 )
@@ -76,7 +75,7 @@ class Conv2dLayer:
         self.padding = padding
 
     def __call__(self, x: Tensor) -> Tensor:
-        return add(conv2d_nhwc(x, self.w, stride=self.stride, padding=self.padding), self.b)
+        return conv2d_nhwc(x, self.w, self.b, stride=self.stride, padding=self.padding)
 
 
 class LayerNormAffine:
@@ -87,7 +86,7 @@ class LayerNormAffine:
         self.bias = _param(np.zeros(dim))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return add(mul(layer_norm(x), self.gain), self.bias)
+        return layer_norm(x, self.gain, self.bias)
 
 
 class SelfAttention:

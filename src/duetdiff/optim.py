@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor
+from .tensor import NonFiniteError, ShapeError, Tensor
 
 
 class Adam:
@@ -54,10 +54,21 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients so their joint L2 norm is at most ``max_norm``.
 
     Returns the pre-clip norm; the dict entries are replaced when clipping.
+    The squares are summed in float64, so finite float32 gradients cannot
+    overflow the norm. A non-finite gradient raises ``NonFiniteError``
+    naming the first such entry, and so does a float64 norm that overflows;
+    nothing is scaled then.
     """
     total = 0.0
-    for g in grads.values():
-        total += float(np.vdot(g, g))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite total raises below
+        for g in grads.values():
+            flat = g.astype(np.float64, copy=False).reshape(-1)
+            total += float(flat @ flat)
+    if not np.isfinite(total):
+        for name, g in grads.items():
+            if not np.isfinite(g).all():
+                raise NonFiniteError(f"clip_global_norm: gradient '{name}' has non-finite values")
+        raise NonFiniteError("clip_global_norm: the gradient norm overflows float64")
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0.0:
         factor = max_norm / norm

@@ -18,7 +18,7 @@ from duetdiff.model import DiffusionModel, ModelConfig
 from duetdiff.nn import named_params, trunc_normal
 from duetdiff.rng import Rng
 from duetdiff.synthdata import generate_dataset
-from duetdiff.tensor import GradTape, Tensor, mul, tsum
+from duetdiff.tensor import GradTape, Tensor, mul, sub, tmean, tsum
 
 from fdcheck import max_rel_err, numeric_grad
 
@@ -83,6 +83,29 @@ def test_param_names_and_shapes_match_golden_list():
     got = [f"{name} {tuple(p.shape)}" for name, p in DiffusionModel(ModelConfig()).params().items()]
     assert len(got) == 272
     assert got == lines
+
+
+def test_a_default_train_step_puts_287_records_on_the_tape():
+    # encode, dropout, fuse, forward_diffuse, predict_eps and the eps-MSE
+    # loss; the count does not depend on the batch, and a lost fusion of
+    # an op into its layer's record raises it
+    config = ModelConfig()
+    model = DiffusionModel(config, rng=Rng(0), dtype=np.float32)
+    cond = model.conditioner
+    samples = generate_dataset(2, config.canvas, 1)
+    prompts = [s.prompt for s in samples]
+    layouts = Tensor(np.stack([s.layout for s in samples]).astype(np.float32))
+    x0 = Tensor(np.stack([s.target for s in samples]).astype(np.float32))
+    rng = Rng(2)
+    t = 1 + rng.integers(2, config.total_steps)
+    eps = Tensor(rng.gaussian(x0.shape, dtype=np.float32))
+    with GradTape() as tape:
+        text, image, _ = cond.apply_condition_dropout(
+            cond.encode_prompt(prompts), cond.encode_image(layouts), rng, 0.1, 0.1)
+        x_t = forward_diffuse(x0, t, eps, model.schedule)
+        diff = sub(model.predict_eps(x_t, t, cond.fuse(text, image)), eps)
+        tmean(mul(diff, diff))
+        assert len(tape._records) == 287
 
 
 def test_tiny_config_registers_the_same_names():

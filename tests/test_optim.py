@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from duetdiff.optim import Adam, clip_global_norm
-from duetdiff.tensor import ShapeError, Tensor
+from duetdiff.tensor import NonFiniteError, ShapeError, Tensor
 
 
 def test_zero_gradient_leaves_params_unchanged():
@@ -73,3 +73,30 @@ def test_clip_global_norm():
     grads2 = {"a": np.array([0.3, 0.4])}
     clip_global_norm(grads2, 1.0)
     assert np.allclose(grads2["a"], [0.3, 0.4])
+
+
+def test_clip_global_norm_sums_float32_squares_in_float64():
+    # 3e19 squared overflows float32; the norm and the clipped gradients stay finite
+    grads = {"a": np.full(4, 3e19, dtype=np.float32), "b": np.full(2, -3e19, dtype=np.float32)}
+    norm = clip_global_norm(grads, 1.0)
+    assert norm == pytest.approx(3e19 * np.sqrt(6.0), rel=1e-6)
+    assert all(g.dtype == np.float32 and np.all(np.isfinite(g)) for g in grads.values())
+    assert np.allclose(grads["a"], 1.0 / np.sqrt(6.0), rtol=1e-6)
+    assert np.allclose(grads["b"], -1.0 / np.sqrt(6.0), rtol=1e-6)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_clip_global_norm_names_the_first_non_finite_gradient(bad):
+    ok = np.array([1.0, 2.0], dtype=np.float32)
+    grads = {"ok": ok, "bad": np.array([0.5, bad], dtype=np.float32),
+             "also_bad": np.array([bad], dtype=np.float32)}
+    with pytest.raises(NonFiniteError, match="gradient 'bad' has non-finite values"):
+        clip_global_norm(grads, 1.0)
+    assert grads["ok"] is ok and np.array_equal(ok, [1.0, 2.0])
+
+
+def test_clip_global_norm_rejects_a_float64_norm_that_overflows():
+    grads = {"a": np.full(2, 1e200)}
+    with pytest.raises(NonFiniteError, match="overflows float64"):
+        clip_global_norm(grads, 1.0)
+    assert np.array_equal(grads["a"], [1e200, 1e200])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duetdiff.nn import Linear
+from duetdiff.nn import Conv2dLayer, LayerNormAffine, Linear
 from duetdiff.rng import Rng
 from duetdiff.tensor import (
     GradTape,
@@ -31,6 +31,7 @@ from duetdiff.tensor import (
     tsum,
     upsample2x,
 )
+from duetdiff.tensor import _col_sum, _row_max, _row_sum
 
 from fdcheck import max_rel_err, numeric_grad
 
@@ -63,6 +64,50 @@ def test_matmul_shape_mismatch():
 def test_softmax_uniform():
     out = softmax(Tensor(np.zeros(4)))
     assert np.allclose(out.data, 0.25)
+
+
+def _softmax_reference(x, axis):
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+@pytest.mark.parametrize("shape, axis", [((5,), -1), ((5,), 0), ((4, 3), 0), ((2, 4, 3), 1)],
+                         ids=["1-d", "1-d-axis-0", "axis-0", "middle-axis"])
+def test_softmax_over_any_axis_matches_numpy(shape, axis):
+    x = _rand(Rng(40), shape)
+    out = softmax(Tensor(x), axis=axis).data
+    assert out.shape == shape
+    assert np.allclose(out, _softmax_reference(x, axis), rtol=1e-14, atol=0.0)
+
+
+_REDUCED_LENGTHS = [1, 3, 16, 24, 33, 64, 65]
+_SUM_RTOL = {np.float32: 1e-6, np.float64: 1e-14}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("length", _REDUCED_LENGTHS)
+def test_row_and_column_sums_match_numpy(dtype, length):
+    # the error is relative to the sum of magnitudes, so cancellation in a
+    # row does not make an exact-enough sum look wrong
+    x = _rand(Rng(41 + length), (3, 5, length)).astype(dtype)
+    rows = _row_sum(x)
+    assert rows.shape == (3, 5, 1) and rows.dtype == dtype
+    scale = np.abs(x).sum(axis=-1, keepdims=True)
+    assert np.all(np.abs(rows - x.sum(axis=-1, keepdims=True)) <= _SUM_RTOL[dtype] * scale)
+    cols_in = x.reshape(-1, length).T.copy()  # ``length`` rows of 15 columns
+    cols = _col_sum(cols_in)
+    assert cols.shape == (15,) and cols.dtype == dtype
+    scale = np.abs(cols_in).sum(axis=0)
+    assert np.all(np.abs(cols - cols_in.sum(axis=0)) <= _SUM_RTOL[dtype] * scale)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("length", _REDUCED_LENGTHS)
+def test_row_max_is_bitwise_numpy_max(dtype, length):
+    x = _rand(Rng(42 + length), (3, 5, length)).astype(dtype)
+    got = _row_max(x)
+    assert got.dtype == dtype and np.array_equal(got, x.max(axis=-1, keepdims=True))
+    assert np.array_equal(_row_max(x[0, 0]), x[0, 0].max(keepdims=True))
 
 
 def test_silu_zero():
@@ -362,12 +407,15 @@ def test_grad_broadcast_add(case):
     assert err <= 1e-5
 
 
-@pytest.mark.parametrize("case", range(20))
+@pytest.mark.parametrize("case", range(30))
 def test_grad_layer_norm(case):
+    # cases 20 on pass a gain and a bias
     rng = Rng(500 + case)
     shape = (int(rng.integers(1, 4)[0]) + 1, int(rng.integers(1, 6)[0]) + 2)
-    a = _rand(rng, shape)
-    err = _grad_check(lambda ts: _weighted(rng.split("w"), layer_norm(ts[0])), [a], 1e-5)
+    arrays = [_rand(rng, shape)]
+    if case >= 20:
+        arrays += [_rand(rng, shape[-1:]), _rand(rng, shape[-1:])]
+    err = _grad_check(lambda ts: _weighted(rng.split("w"), layer_norm(*ts)), arrays, 1e-5)
     assert err <= 1e-5
 
 
@@ -380,6 +428,14 @@ def test_grad_softmax(case):
     assert err <= 1e-5
 
 
+@pytest.mark.parametrize("axis", [0, 1])
+def test_grad_softmax_over_a_leading_axis(axis):
+    rng = Rng(620 + axis)
+    a = _rand(rng, (3, 4, 2))
+    err = _grad_check(lambda ts: _weighted(rng.split("w"), softmax(ts[0], axis=axis)), [a], 1e-5)
+    assert err <= 1e-5
+
+
 # (kh, kw, stride, padding) of every conv the network runs, plus two
 # non-square kernels at stride 1: one pads H and W differently, the other
 # crops H where the stride-1 input gradient pads by kh - 1 - padding < 0
@@ -387,12 +443,14 @@ _NETWORK_CONVS = [(1, 1, 1, 0), (2, 2, 2, 0), (4, 4, 2, 1), (3, 3, 1, 1), (3, 3,
                   (2, 3, 1, 1), (2, 3, 1, 2)]
 
 
-@pytest.mark.parametrize("case", range(28 + len(_NETWORK_CONVS)))
+@pytest.mark.parametrize("case", range(28 + 2 * len(_NETWORK_CONVS)))
 def test_grad_conv2d(case):
     # cases 0-19: the NCHW adapter; 20-27: the channels-last kernel, with
     # stride 2 in every other case; 28 on: the channels-last kernel at each
-    # shape of _NETWORK_CONVS, on an input with H != W
+    # shape of _NETWORK_CONVS, on an input with H != W, first without and
+    # then with a bias
     rng = Rng(700 + case)
+    arrays = []
     if case < 20:
         stride = 1 + int(rng.integers(1, 2)[0])
         pad = int(rng.integers(1, 2)[0])
@@ -407,15 +465,17 @@ def test_grad_conv2d(case):
         w = _rand(rng, (kh, kh, 3, 2))
         op = conv2d_nhwc
     else:
-        kh, kw, stride, pad = _NETWORK_CONVS[case - 28]
+        kh, kw, stride, pad = _NETWORK_CONVS[(case - 28) % len(_NETWORK_CONVS)]
         x = _rand(rng, (2, 8, 6, 3))
         w = _rand(rng, (kh, kw, 3, 2))
         op = conv2d_nhwc
+        if case >= 28 + len(_NETWORK_CONVS):
+            arrays = [_rand(rng, (2,))]
 
     def build(ts):
-        return _weighted(rng.split("w"), op(ts[0], ts[1], stride=stride, padding=pad))
+        return _weighted(rng.split("w"), op(*ts, stride=stride, padding=pad))
 
-    assert _grad_check(build, [x, w], 1e-5) <= 1e-5
+    assert _grad_check(build, [x, w, *arrays], 1e-5) <= 1e-5
 
 
 @pytest.mark.parametrize("case", range(20))
@@ -500,7 +560,60 @@ def test_linear_rejects_mismatched_shapes(x_shape, w_shape, b_shape, message):
         linear(Tensor(np.ones(x_shape)), Tensor(np.ones(w_shape)), Tensor(np.ones(b_shape)))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape", [(5, 4), (2, 3, 3, 4)], ids=["rows", "feature-map"])
+def test_affine_layer_norm_matches_the_composed_ops(dtype, x_shape):
+    rng = Rng(34)
+    x = _rand(rng, x_shape).astype(dtype)
+    gain = _rand(rng, (4,)).astype(dtype)
+    bias = _rand(rng, (4,)).astype(dtype)
+    weights = _rand(rng, x_shape).astype(dtype)
+    out, grads = _outputs_and_grads(layer_norm, [x, gain, bias], weights)
+    ref_out, ref_grads = _outputs_and_grads(lambda x, g, b: add(mul(layer_norm(x), g), b),
+                                            [x, gain, bias], weights)
+    assert out.dtype == ref_out.dtype and np.array_equal(out, ref_out)
+    if dtype == np.float64:
+        assert _max_rel_l2(grads, ref_grads) <= 1e-12
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kh, stride, padding", [(3, 1, 1), (4, 2, 1)], ids=["3x3", "4x4-s2"])
+def test_conv_bias_matches_conv_plus_add(dtype, kh, stride, padding):
+    rng = Rng(35)
+    x = _rand(rng, (2, 6, 6, 3)).astype(dtype)
+    w = _rand(rng, (kh, kh, 3, 4)).astype(dtype)
+    b = _rand(rng, (4,)).astype(dtype)
+    oh = (6 + 2 * padding - kh) // stride + 1
+    weights = _rand(rng, (2, oh, oh, 4)).astype(dtype)
+    out, grads = _outputs_and_grads(
+        lambda x, w, b: conv2d_nhwc(x, w, b=b, stride=stride, padding=padding), [x, w, b], weights)
+    ref_out, ref_grads = _outputs_and_grads(
+        lambda x, w, b: add(conv2d_nhwc(x, w, stride=stride, padding=padding), b), [x, w, b], weights)
+    assert out.dtype == ref_out.dtype and np.array_equal(out, ref_out)
+    if dtype == np.float64:
+        assert _max_rel_l2(grads, ref_grads) <= 1e-12
+
+
+@pytest.mark.parametrize("gain, bias, message", [
+    (np.ones(4), None, "both gain and bias"),
+    (None, np.zeros(4), "both gain and bias"),
+    (np.ones(3), np.zeros(4), r"must be \(4,\)"),
+    (np.ones(4), np.zeros((1, 4)), r"must be \(4,\)"),
+], ids=["gain-only", "bias-only", "gain-extent", "bias-rank"])
+def test_layer_norm_rejects_a_partial_or_mis_shaped_affine(gain, bias, message):
+    args = [None if a is None else Tensor(a) for a in (gain, bias)]
+    with pytest.raises(ShapeError, match=message):
+        layer_norm(Tensor(np.ones((2, 4))), *args)
+
+
+def test_conv2d_rejects_a_mis_shaped_bias():
+    x, w = Tensor(np.ones((1, 4, 4, 2))), Tensor(np.ones((3, 3, 2, 5)))
+    with pytest.raises(ShapeError, match=r"bias must be \(5,\), got \(2,\)"):
+        conv2d_nhwc(x, w, b=Tensor(np.ones(2)), padding=1)
+
+
 def test_attention_and_linear_each_add_one_tape_record():
+    # and so do LayerNormAffine and Conv2dLayer, with their gain and bias
     rng = Rng(33)
     q = Tensor(_rand(rng, (2, 6, 8)), requires_grad=True)
     layer = Linear(rng, 8, 8)
@@ -509,6 +622,10 @@ def test_attention_and_linear_each_add_one_tape_record():
         assert len(tape._records) == 1
         layer(q)
         assert len(tape._records) == 2
+        LayerNormAffine(8)(q)
+        assert len(tape._records) == 3
+        Conv2dLayer(rng, 8, 4, 3, padding=1)(reshape(q, (2, 2, 3, 8)))
+        assert len(tape._records) == 5  # the reshape, then the conv
 
 
 @pytest.mark.parametrize("case", range(10))
