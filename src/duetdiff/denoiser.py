@@ -16,15 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import (
-    Conv2dLayer,
-    CrossAttention,
-    LayerNormAffine,
-    Linear,
-    Mlp,
-    SelfAttention,
-    timestep_embedding,
-)
+from .nn import Attention, Conv2dLayer, LayerNormAffine, Linear, Mlp, timestep_embedding
 from .rng import Rng
 from .tensor import Tensor, add, concat, reshape, silu, transpose, upsample2x
 
@@ -45,7 +37,10 @@ class DenoiserConfig:
 
 
 class ResBlock:
-    """norm-silu-conv twice, timestep features added between, residual skip."""
+    """norm-silu-conv twice, timestep features added between, residual skip.
+
+    ``temb`` holds the activated time features of ``Denoiser.time_features``.
+    """
 
     def __init__(self, rng: Rng, c_in: int, c_out: int, temb_dim: int):
         self.norm1 = LayerNormAffine(c_in)
@@ -57,7 +52,7 @@ class ResBlock:
 
     def __call__(self, x: Tensor, temb: Tensor) -> Tensor:
         h = self.conv1(silu(self.norm1(x)))
-        t = self.time_proj(silu(temb))
+        t = self.time_proj(temb)
         h = add(h, reshape(t, (t.shape[0], 1, 1, t.shape[1])))
         h = self.conv2(silu(self.norm2(h)))
         return add(h, x if self.skip is None else self.skip(x))
@@ -68,16 +63,17 @@ class SpatialAttnBlock:
 
     def __init__(self, rng: Rng, channels: int, cond_dim: int, n_heads: int):
         self.norm1 = LayerNormAffine(channels)
-        self.self_attn = SelfAttention(rng.split("self"), channels, n_heads)
+        self.self_attn = Attention(rng.split("self"), channels, channels, n_heads)
         self.norm2 = LayerNormAffine(channels)
-        self.cross_attn = CrossAttention(rng.split("cross"), channels, cond_dim, n_heads)
+        self.cross_attn = Attention(rng.split("cross"), channels, cond_dim, n_heads)
         self.norm3 = LayerNormAffine(channels)
         self.mlp = Mlp(rng.split("mlp"), channels, 4 * channels)
 
     def __call__(self, x: Tensor, cond: Tensor) -> Tensor:
         n, h, w, c = x.shape
         tokens = reshape(x, (n, h * w, c))
-        tokens = add(tokens, self.self_attn(self.norm1(tokens)))
+        normed = self.norm1(tokens)
+        tokens = add(tokens, self.self_attn(normed, normed))
         tokens = add(tokens, self.cross_attn(self.norm2(tokens), cond))
         tokens = add(tokens, self.mlp(self.norm3(tokens)))
         return reshape(tokens, (n, h, w, c))
@@ -147,8 +143,9 @@ class Denoiser:
                                     padding=1, zero_init=True)
 
     def time_features(self, t) -> Tensor:
+        """Activated features silu(time_fc2(silu(time_fc1(emb)))) for every ResBlock."""
         emb = Tensor(timestep_embedding(t, self.config.temb_dim, dtype=self.time_fc1.w.dtype))
-        return self.time_fc2(silu(self.time_fc1(emb)))
+        return silu(self.time_fc2(silu(self.time_fc1(emb))))
 
     def __call__(self, x: Tensor, t, cond: Tensor) -> Tensor:
         """x is (N, C, H, W); t is an int (any 0-d value) or an (N,) array; cond is (N, L, d)."""

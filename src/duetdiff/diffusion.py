@@ -73,11 +73,15 @@ def linear_schedule(total_steps: int, beta_start: float = 1e-4, beta_end: float 
 def forward_diffuse(x0: Tensor, t, eps: Tensor, sched: NoiseSchedule) -> Tensor:
     """Jump straight from clean data to the step-t corrupted sample.
 
-    t may be an int or a per-sample int array matching the batch axis.
+    t may be an int (or 0-d array) for the whole batch, or an (N,) array
+    with one step per row of an (N, ...) ``x0``.
     """
     if eps.shape != x0.shape:
         raise ShapeError(f"forward_diffuse: eps shape {eps.shape} != x0 shape {x0.shape}")
-    sched.check_t(t)
+    t_arr = sched.check_t(t)
+    if t_arr.ndim and t_arr.shape != x0.shape[:1]:
+        raise ShapeError(f"forward_diffuse: t shape {t_arr.shape} != ({x0.shape[0]},), "
+                         f"one step per row of x0")
     abar = sched.alpha_bar(t)
     # one coefficient per row; an int t gives one for the whole batch
     shape = (-1,) + (1,) * (x0.ndim - 1)

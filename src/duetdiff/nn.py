@@ -6,6 +6,9 @@ conventions. Feature maps are channels-last, (N, H, W, C), so per-channel
 layers act on the trailing axis. Layers declare no registry of their own:
 ``named_params`` finds every Tensor by walking the attributes.
 
+One ``Attention`` serves self- and cross-attention: self-attention passes
+the stream as its own context.
+
 Precision is not a layer's choice. Every layer builds its tensors at
 float64, the precision of every draw, and the model that owns the layers
 casts each registered tensor once (``model.DiffusionModel``). A layer that
@@ -25,7 +28,6 @@ from .tensor import (
     layer_norm,
     linear,
     silu,
-    slice_axis,
 )
 
 
@@ -46,12 +48,8 @@ def _param(arr: np.ndarray) -> Tensor:
 
 
 class Linear:
-    def __init__(self, rng: Rng, d_in: int, d_out: int, zero_init: bool = False):
-        if zero_init:
-            w = np.zeros((d_in, d_out))
-        else:
-            w = trunc_normal(rng, (d_in, d_out))
-        self.w = _param(w)
+    def __init__(self, rng: Rng, d_in: int, d_out: int):
+        self.w = _param(trunc_normal(rng, (d_in, d_out)))
         self.b = _param(np.zeros(d_out))
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -89,22 +87,7 @@ class LayerNormAffine:
         return layer_norm(x, self.gain, self.bias)
 
 
-class SelfAttention:
-    def __init__(self, rng: Rng, dim: int, n_heads: int):
-        self.n_heads = n_heads
-        self.dim = dim
-        self.qkv = Linear(rng.split("qkv"), dim, 3 * dim)
-        self.out = Linear(rng.split("out"), dim, dim)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        qkv = self.qkv(x)
-        q = slice_axis(qkv, -1, 0, self.dim)
-        k = slice_axis(qkv, -1, self.dim, 2 * self.dim)
-        v = slice_axis(qkv, -1, 2 * self.dim, 3 * self.dim)
-        return self.out(attention(q, k, v, self.n_heads))
-
-
-class CrossAttention:
+class Attention:
     """Queries from the stream, keys/values from a context sequence."""
 
     def __init__(self, rng: Rng, dim: int, context_dim: int, n_heads: int):
@@ -135,12 +118,13 @@ class TransformerBlock:
 
     def __init__(self, rng: Rng, dim: int, n_heads: int, hidden: int):
         self.norm1 = LayerNormAffine(dim)
-        self.attn = SelfAttention(rng.split("attn"), dim, n_heads)
+        self.attn = Attention(rng.split("attn"), dim, dim, n_heads)
         self.norm2 = LayerNormAffine(dim)
         self.mlp = Mlp(rng.split("mlp"), dim, hidden)
 
     def __call__(self, x: Tensor) -> Tensor:
-        x = add(x, self.attn(self.norm1(x)))
+        normed = self.norm1(x)
+        x = add(x, self.attn(normed, normed))
         return add(x, self.mlp(self.norm2(x)))
 
 

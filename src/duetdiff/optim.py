@@ -7,11 +7,24 @@ import numpy as np
 from .tensor import NonFiniteError, ShapeError, Tensor
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not (np.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
 class Adam:
-    """Standard Adam over a named parameter dict; state updates in place."""
+    """Standard Adam over a named parameter dict; state updates in place.
+
+    ``lr`` and ``eps`` must be finite and positive, each beta in [0, 1).
+    """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        _check_positive("lr", lr)
+        _check_positive("eps", eps)
+        for name, beta in (("beta1", beta1), ("beta2", beta2)):
+            if not 0.0 <= beta < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {beta}")
         self.params = params
         self.lr = lr
         self.beta1 = beta1
@@ -53,12 +66,14 @@ class Adam:
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients so their joint L2 norm is at most ``max_norm``.
 
-    Returns the pre-clip norm; the dict entries are replaced when clipping.
+    ``max_norm`` must be finite and positive. Returns the pre-clip norm;
+    the dict entries are replaced when clipping.
     The squares are summed in float64, so finite float32 gradients cannot
     overflow the norm. A non-finite gradient raises ``NonFiniteError``
     naming the first such entry, and so does a float64 norm that overflows;
     nothing is scaled then.
     """
+    _check_positive("max_norm", max_norm)
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite total raises below
         for g in grads.values():
@@ -70,7 +85,7 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
                 raise NonFiniteError(f"clip_global_norm: gradient '{name}' has non-finite values")
         raise NonFiniteError("clip_global_norm: the gradient norm overflows float64")
     norm = float(np.sqrt(total))
-    if norm > max_norm and norm > 0.0:
+    if norm > max_norm:
         factor = max_norm / norm
         for name, g in grads.items():
             grads[name] = g * factor

@@ -688,23 +688,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return _record("concat", out, tuple(tensors), vjp, check=False)
 
 
-def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    extent = x.shape[axis]
-    if not (0 <= start < stop <= extent):
-        raise ShapeError(f"slice_axis: [{start}:{stop}] out of range for extent {extent}")
-    index = [slice(None)] * x.ndim
-    index[axis] = slice(start, stop)
-    index = tuple(index)
-    out = x.data[index]
-
-    def vjp(g, live):
-        gx = np.zeros_like(x.data)
-        gx[index] = g
-        return (gx,)
-
-    return _record("slice_axis", out, (x,), vjp, check=False)
-
-
 def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = x.data.sum(axis=axis, keepdims=keepdims)
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,6 +116,25 @@ def test_forward_rejects_bad_t():
         forward_diffuse(x, 11, x, sched)
     with pytest.raises(ShapeError):
         forward_diffuse(x, 1, Tensor(np.zeros(4)), sched)
+
+
+@pytest.mark.parametrize("rows, t", [(1, [5, 6, 7]), (2, [[5], [6]]), (2, [5, 6, 7])],
+                         ids=["grows-one-row", "column-t", "too-many-steps"])
+def test_forward_rejects_a_t_that_is_not_one_step_per_row(rows, t):
+    sched = linear_schedule(10)
+    x = Tensor(np.zeros((rows, 3, 4, 4)))
+    t = np.array(t)
+    with pytest.raises(ShapeError, match=re.escape(f"forward_diffuse: t shape {t.shape} != ({rows},)")):
+        forward_diffuse(x, t, x, sched)
+
+
+def test_forward_takes_an_int_or_0d_t_for_any_batch():
+    sched = linear_schedule(10)
+    for shape in ((8,), (1, 3, 4, 4), (3, 3, 4, 4)):
+        x = Tensor(np.ones(shape))
+        expected = np.full(shape, np.sqrt(sched.alpha_bar(4)))
+        for t in (4, np.int64(4), np.array(4)):
+            assert np.array_equal(forward_diffuse(x, t, Tensor(np.zeros(shape)), sched).data, expected)
 
 
 def test_ddpm_final_step_is_deterministic():

@@ -3,6 +3,7 @@ import pytest
 
 from duetdiff.denoiser import ResBlock, SpatialAttnBlock
 from duetdiff.nn import (
+    Attention,
     Conv2dLayer,
     LayerNormAffine,
     Linear,
@@ -12,7 +13,7 @@ from duetdiff.nn import (
     trunc_normal,
 )
 from duetdiff.rng import Rng
-from duetdiff.tensor import Tensor, conv2d
+from duetdiff.tensor import GradTape, Tensor, attention, conv2d, linear, mul, tsum
 
 
 def _rand(rng, shape):
@@ -76,6 +77,59 @@ def test_spatial_attention_tokens_are_pixels_in_row_major_order():
     assert np.array_equal(attn(Tensor(x), Tensor(_rand(rng, (1, 2, 16)))).data, x)
 
 
+def _packed_self_attention(attn, x, weights):
+    """Self-attention through one packed (d, 3d) projection cut into q, k, v.
+
+    Returns the output and the gradients of sum(out * weights) with respect
+    to x and every parameter of ``attn``, chained by hand through the cut.
+    """
+    w = Tensor(np.concatenate([attn.q.w.data, attn.k.w.data, attn.v.w.data], axis=1),
+               requires_grad=True)
+    b = Tensor(np.concatenate([attn.q.b.data, attn.k.b.data, attn.v.b.data]), requires_grad=True)
+    qkv = linear(x, w, b).data
+    q, k, v = (Tensor(part, requires_grad=True) for part in np.split(qkv, 3, axis=-1))
+    with GradTape() as tape:
+        out = attn.out(attention(q, k, v, attn.n_heads))
+        loss = tsum(mul(out, weights))
+    g_out = tape.backward(loss)
+    g_qkv = Tensor(np.concatenate([g_out[q], g_out[k], g_out[v]], axis=-1))
+    with GradTape() as tape:
+        loss = tsum(mul(linear(x, w, b), g_qkv))
+    g_in = tape.backward(loss)
+    grads = {"x": g_in[x], "out.w": g_out[attn.out.w], "out.b": g_out[attn.out.b]}
+    for name, gw, gb in zip("qkv", np.split(g_in[w], 3, axis=1), np.split(g_in[b], 3)):
+        grads[f"{name}.w"], grads[f"{name}.b"] = gw, gb
+    return out.data, grads
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_self_attention_equals_the_packed_qkv_projection(dtype):
+    rng = Rng(8)
+    attn = Attention(rng.split("attn"), 32, 32, 4)
+    params = named_params(attn, "attn")
+    for p in params.values():
+        if p.ndim == 1:
+            p.data = _rand(rng, p.shape)
+        p.data = p.data.astype(dtype)
+    x = Tensor(_rand(rng, (2, 36, 32)).astype(dtype), requires_grad=True)
+    weights = Tensor(_rand(rng, (2, 36, 32)).astype(dtype))
+    with GradTape() as tape:
+        out = attn(x, x)
+        loss = tsum(mul(out, weights))
+    got = tape.backward(loss)
+    ref_out, ref = _packed_self_attention(attn, x, weights)
+    assert out.dtype == dtype and np.array_equal(out.data, ref_out)
+    if dtype != np.float64:
+        return
+    got = {"x": got[x], **{name[5:]: got[p] for name, p in params.items()}}
+    assert list(got) == ["x", "q.w", "q.b", "k.w", "k.b", "v.w", "v.b", "out.w", "out.b"]
+    for name, g in got.items():
+        if name == "k.b":  # softmax ignores a shift shared by every key: 0 up to rounding
+            assert max(np.abs(g).max(), np.abs(ref[name]).max()) <= 1e-12
+            continue
+        assert np.linalg.norm(g - ref[name]) <= 1e-12 * np.linalg.norm(ref[name]), name
+
+
 def test_timestep_embedding_is_sin_cos_pairs():
     emb = timestep_embedding(np.array([0, 7]), 8, dtype=np.float64)
     assert emb.shape == (2, 8)
@@ -97,7 +151,8 @@ def test_named_params_joins_attribute_paths_indices_and_keys():
     block = TransformerBlock(rng, 8, 2, 16)
     assert list(named_params(block, "b")) == [
         "b.norm1.gain", "b.norm1.bias",
-        "b.attn.qkv.w", "b.attn.qkv.b", "b.attn.out.w", "b.attn.out.b",
+        "b.attn.q.w", "b.attn.q.b", "b.attn.k.w", "b.attn.k.b",
+        "b.attn.v.w", "b.attn.v.b", "b.attn.out.w", "b.attn.out.b",
         "b.norm2.gain", "b.norm2.bias",
         "b.mlp.fc1.w", "b.mlp.fc1.b", "b.mlp.fc2.w", "b.mlp.fc2.b",
     ]

@@ -100,3 +100,22 @@ def test_clip_global_norm_rejects_a_float64_norm_that_overflows():
     with pytest.raises(NonFiniteError, match="overflows float64"):
         clip_global_norm(grads, 1.0)
     assert np.array_equal(grads["a"], [1e200, 1e200])
+
+
+@pytest.mark.parametrize("max_norm", [-1.0, 0.0, np.nan, np.inf])
+def test_clip_global_norm_rejects_a_max_norm_that_is_not_finite_and_positive(max_norm):
+    g = np.array([3.0, 4.0])
+    grads = {"a": g}
+    with pytest.raises(ValueError, match=r"^max_norm must be finite and > 0"):
+        clip_global_norm(grads, max_norm)
+    assert grads["a"] is g and np.array_equal(g, [3.0, 4.0])
+
+
+@pytest.mark.parametrize("arg, value", [
+    ("lr", np.nan), ("lr", -1.0), ("lr", 0.0), ("lr", np.inf),
+    ("beta1", 1.0), ("beta1", -0.1), ("beta2", np.nan), ("beta2", 1.5),
+    ("eps", 0.0), ("eps", -1e-8), ("eps", np.nan),
+])
+def test_adam_rejects_bad_hyperparameters_by_name(arg, value):
+    with pytest.raises(ValueError, match=rf"^{arg} must "):
+        Adam({"p": Tensor(np.ones(2))}, **{arg: value})

@@ -23,7 +23,6 @@ from duetdiff.tensor import (
     reshape,
     scale,
     silu,
-    slice_axis,
     softmax,
     sub,
     tmean,
@@ -637,8 +636,7 @@ def test_grad_shape_ops(case):
         t = transpose(ts[0], (1, 0, 2))
         t = reshape(t, (4, 6))
         t = concat([t, t], axis=1)
-        t = slice_axis(t, 1, 2, 9)
-        t = upsample2x(reshape(t, (2, 7, 2)))
+        t = upsample2x(reshape(t, (2, 6, 4)))
         return _weighted(rng.split("w"), tmean(t, axis=-1, keepdims=True))
 
     assert _grad_check(build, [x], 1e-5) <= 1e-5
