@@ -25,10 +25,10 @@ DEFAULT_TOKENS = (PAD_TOKEN, "red", "green", "blue", "yellow", "circle", "square
 
 @dataclass(frozen=True)
 class PromptVocab:
-    """Token list with reserved PAD at id 0 and a fixed encoded length."""
+    """Fixed encoded length, and a token list with reserved PAD at id 0."""
 
+    text_len: int
     tokens: tuple[str, ...] = DEFAULT_TOKENS
-    text_len: int = 8
     _ids: dict = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -54,7 +54,7 @@ class PromptVocab:
         return ids
 
 
-def frozen_orthogonal_table(rng: Rng, vocab_size: int, d_embed: int, dtype=np.float64) -> np.ndarray:
+def frozen_orthogonal_table(rng: Rng, vocab_size: int, d_embed: int) -> np.ndarray:
     """Random table with orthonormal rows (modified Gram-Schmidt at 64-bit)."""
     if vocab_size > d_embed:
         raise ValueError("orthonormal rows need vocab_size <= d_embed")
@@ -63,7 +63,7 @@ def frozen_orthogonal_table(rng: Rng, vocab_size: int, d_embed: int, dtype=np.fl
         for j in range(i):
             raw[i] -= np.dot(raw[i], raw[j]) * raw[j]
         raw[i] /= np.linalg.norm(raw[i])
-    return raw.astype(dtype, copy=False)
+    return raw
 
 
 class PromptEncoder:

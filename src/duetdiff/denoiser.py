@@ -23,7 +23,6 @@ from .tensor import Tensor, add, concat, reshape, silu, transpose, upsample2x
 
 @dataclass(frozen=True)
 class DenoiserConfig:
-    in_channels: int = 3
     base_channels: int = 16
     channel_mult: tuple[int, ...] = (1, 2)
     res_blocks: int = 2
@@ -82,7 +81,7 @@ class SpatialAttnBlock:
 class Denoiser:
     """U-shaped eps-prediction network; output shape equals input shape."""
 
-    def __init__(self, rng: Rng, config: DenoiserConfig, canvas: int):
+    def __init__(self, rng: Rng, config: DenoiserConfig, canvas: int, channels: int):
         self.config = config
         chans = config.channels()
         levels = len(chans)
@@ -92,7 +91,7 @@ class Denoiser:
 
         self.time_fc1 = Linear(rng.split("time_fc1"), config.temb_dim, config.temb_dim)
         self.time_fc2 = Linear(rng.split("time_fc2"), config.temb_dim, config.temb_dim)
-        self.in_conv = Conv2dLayer(rng.split("in_conv"), config.in_channels, chans[0], 3, padding=1)
+        self.in_conv = Conv2dLayer(rng.split("in_conv"), channels, chans[0], 3, padding=1)
 
         def attn_here(res):
             return res in config.attn_resolutions
@@ -139,7 +138,7 @@ class Denoiser:
             self.up.append({"blocks": blocks, "up": up_conv})
 
         self.out_norm = LayerNormAffine(chans[0])
-        self.out_conv = Conv2dLayer(rng.split("out_conv"), chans[0], config.in_channels, 3,
+        self.out_conv = Conv2dLayer(rng.split("out_conv"), chans[0], channels, 3,
                                     padding=1, zero_init=True)
 
     def time_features(self, t) -> Tensor:

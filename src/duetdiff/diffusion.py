@@ -4,6 +4,7 @@ Step-index contract: a step ``t`` is an int or a per-row int array in
 [1, T], where T is the schedule's ``total_steps``. A reverse step's target
 ``t_prev`` may also be 0, the clean data, and ``alpha_bar(0) == 1``.
 ``NoiseSchedule.check_t`` holds this dtype and range check for every caller.
+A reverse step takes one 0-d step for the whole batch.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class NoiseSchedule:
         return out if isinstance(out, np.ndarray) else float(out)
 
 
-def linear_schedule(total_steps: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> NoiseSchedule:
+def linear_schedule(total_steps: int, beta_start: float, beta_end: float) -> NoiseSchedule:
     """Betas linearly interpolated between the endpoints, inclusive."""
     if total_steps < 1:
         raise ValueError("total_steps must be >= 1")
@@ -90,12 +91,19 @@ def forward_diffuse(x0: Tensor, t, eps: Tensor, sched: NoiseSchedule) -> Tensor:
     return add(mul(x0, Tensor(c_signal)), mul(eps, Tensor(c_noise)))
 
 
+def _check_one_step(fn: str, name: str, value) -> None:
+    """A reverse step's index is one int for the whole batch, never per row."""
+    if np.ndim(value):
+        raise ShapeError(f"{fn}: {name} must be a single step (0-d), got shape {np.shape(value)}")
+
+
 def ddpm_step(xt: Tensor, t: int, eps_pred: Tensor, noise: Tensor | None, sched: NoiseSchedule) -> Tensor:
     """One ancestral reverse step t -> t-1 with fixed variance beta_t.
 
     The injected noise is suppressed at t == 1 (the final step is the
     deterministic mean).
     """
+    _check_one_step("ddpm_step", "t", t)
     sched.check_t(t)
     if eps_pred.shape != xt.shape:
         raise ShapeError("ddpm_step: eps_pred shape mismatch")
@@ -115,6 +123,8 @@ def ddim_step(xt: Tensor, t: int, t_prev: int, eps_pred: Tensor, sched: NoiseSch
     ``alpha_bar`` range-checks both steps, so with ``t_prev < t`` this
     accepts exactly 0 <= t_prev < t <= T.
     """
+    _check_one_step("ddim_step", "t", t)
+    _check_one_step("ddim_step", "t_prev", t_prev)
     if not t_prev < t:
         raise ValueError(f"ddim_step: need t_prev < t, got ({t_prev}, {t})")
     if eps_pred.shape != xt.shape:

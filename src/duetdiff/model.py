@@ -75,9 +75,8 @@ class DiffusionModel:
         )
         if config.denoiser.cond_dim != config.d_embed:
             raise ValueError("denoiser cond_dim must equal d_embed")
-        if config.denoiser.in_channels != config.image_channels:
-            raise ValueError("denoiser in_channels must equal image_channels")
-        self.denoiser = Denoiser(rng.split("denoiser"), config.denoiser, config.canvas)
+        self.denoiser = Denoiser(rng.split("denoiser"), config.denoiser, config.canvas,
+                                 config.image_channels)
         for t in self._tensors().values():
             t.data = t.data.astype(self.dtype, copy=False)
 

@@ -31,8 +31,8 @@ from .tensor import (
 )
 
 
-def trunc_normal(rng: Rng, shape, std: float = 0.02, dtype=np.float64) -> np.ndarray:
-    """Normal(0, std) with values beyond 2 std redrawn."""
+def trunc_normal(rng: Rng, shape, dtype=np.float64) -> np.ndarray:
+    """Normal(0, 0.02) with values beyond 2 std redrawn."""
     out = rng.gaussian(shape, dtype=np.float64)
     for _ in range(16):
         bad = np.abs(out) > 2.0
@@ -40,7 +40,7 @@ def trunc_normal(rng: Rng, shape, std: float = 0.02, dtype=np.float64) -> np.nda
         if not n_bad:
             break
         out[bad] = rng.gaussian((n_bad,), dtype=np.float64)
-    return (np.clip(out, -2.0, 2.0) * std).astype(dtype, copy=False)
+    return (np.clip(out, -2.0, 2.0) * 0.02).astype(dtype, copy=False)
 
 
 def _param(arr: np.ndarray) -> Tensor:

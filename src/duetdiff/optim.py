@@ -55,11 +55,30 @@ class Adam:
             param.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
     def load_state(self, m: dict[str, np.ndarray], v: dict[str, np.ndarray], step_count: int) -> None:
+        """Replace the moments and the step count.
+
+        Every entry is checked before any is copied: each ``m`` and ``v``
+        must have its parameter's shape and finite values, each ``v`` must
+        be >= 0, and ``step_count`` an integer >= 0. A failure names the
+        entry and leaves the state as it was.
+        """
+        if not isinstance(step_count, (int, np.integer)) or step_count < 0:
+            raise ValueError(f"adam: step_count must be an integer >= 0, got {step_count!r}")
+        for name, param in self.params.items():
+            for label, state in (("m", m), ("v", v)):
+                if name not in state:
+                    raise KeyError(f"adam: missing optimizer state {label} for '{name}'")
+                arr = np.asarray(state[name])
+                if arr.shape != param.data.shape:
+                    raise ValueError(f"adam: {label} shape {arr.shape} != param shape "
+                                     f"{param.data.shape} for '{name}'")
+                if not np.all(np.isfinite(arr)):
+                    raise ValueError(f"adam: non-finite values in {label} for '{name}'")
+                if label == "v" and np.any(arr < 0):
+                    raise ValueError(f"adam: negative values in v for '{name}'")
         for name in self.params:
-            if name not in m or name not in v:
-                raise KeyError(f"adam: missing optimizer state for '{name}'")
-            self.m[name] = m[name].astype(self.m[name].dtype, copy=True)
-            self.v[name] = v[name].astype(self.v[name].dtype, copy=True)
+            self.m[name] = np.array(m[name], dtype=self.m[name].dtype)
+            self.v[name] = np.array(v[name], dtype=self.v[name].dtype)
         self.step_count = int(step_count)
 
 

@@ -2,7 +2,10 @@
 
 Data lives in numpy arrays (float32 for training, float64 for verification);
 every differentiable primitive records a vector-Jacobian closure on the
-active ``GradTape``. Ops are pure and fail fast on NaN/Inf outputs.
+active ``GradTape``. Ops are pure and fail fast on NaN/Inf outputs. Ops take
+Tensors only: a python scalar enters through ``scale``, and ``add``, ``sub``
+and ``mul`` raise ``TypeError`` on any other operand. There is one stack of
+active tapes per process; the innermost ``GradTape`` block records.
 
 Reductions over a short axis go through BLAS. The network reduces over
 16-64 channels or 24-64 keys per row, and at those lengths numpy's
@@ -16,8 +19,6 @@ bias gradients of ``linear`` and ``conv2d_nhwc`` reduce only through
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -35,20 +36,8 @@ class TapeError(RuntimeError):
 
 
 _FLOAT_DTYPES = (np.float32, np.float64)
-_TAPES = threading.local()
-
-
-def _tape_stack() -> list:
-    stack = getattr(_TAPES, "stack", None)
-    if stack is None:
-        stack = []
-        _TAPES.stack = stack
-    return stack
-
-
-def _active_tape():
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+_LAYER_NORM_EPS = 1e-5
+_TAPES: list = []
 
 
 def _assert_finite(op: str, data: np.ndarray) -> None:
@@ -66,8 +55,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "_tape")
 
-    def __init__(self, data, dtype=None, requires_grad: bool = False):
-        arr = np.asarray(data, dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
         self.data = arr
@@ -108,27 +97,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
 
 class GradTape:
     """Ordered record of primitive ops; replayed in reverse by ``backward``.
@@ -142,14 +110,13 @@ class GradTape:
         self._consumed = False
 
     def __enter__(self) -> "GradTape":
-        _tape_stack().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        stack = _tape_stack()
-        if not stack or stack[-1] is not self:
+        if not _TAPES or _TAPES[-1] is not self:
             raise TapeError("tape context exited out of order")
-        stack.pop()
+        _TAPES.pop()
         return False
 
     def _live(self, t: Tensor) -> bool:
@@ -196,8 +163,8 @@ def _record(name: str, out_data: np.ndarray, inputs: tuple, vjp, check: bool = T
     if check:
         _assert_finite(name, out_data)
     out = Tensor._wrap(out_data)
-    tape = _active_tape()
-    if tape is not None:
+    if _TAPES:
+        tape = _TAPES[-1]
         live = tuple(tape._live(t) for t in inputs)
         if any(live):
             out._tape = tape
@@ -210,14 +177,11 @@ def _check_dtypes(name: str, a: Tensor, b: Tensor) -> None:
         raise TypeError(f"{name}: mixed dtypes {a.data.dtype} and {b.data.dtype}")
 
 
-def _operands(name: str, a, b) -> tuple[Tensor, Tensor]:
-    """Both operands as Tensors; a non-Tensor one takes the other's dtype."""
-    if not isinstance(a, Tensor):
-        a = Tensor(a, b.data.dtype if isinstance(b, Tensor) else None)
-    if not isinstance(b, Tensor):
-        b = Tensor(b, a.data.dtype)
+def _check_operands(name: str, a: Tensor, b: Tensor) -> None:
+    for t in (a, b):
+        if not isinstance(t, Tensor):
+            raise TypeError(f"{name}: operands must be Tensors, got {type(t).__name__}")
     _check_dtypes(name, a, b)
-    return a, b
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -270,8 +234,8 @@ def _softmax_rows(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 # elementwise suite
 
 
-def add(a, b) -> Tensor:
-    a, b = _operands("add", a, b)
+def add(a: Tensor, b: Tensor) -> Tensor:
+    _check_operands("add", a, b)
     try:
         out = a.data + b.data
     except ValueError as exc:
@@ -286,8 +250,8 @@ def add(a, b) -> Tensor:
     return _record("add", out, (a, b), vjp)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _operands("sub", a, b)
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    _check_operands("sub", a, b)
     try:
         out = a.data - b.data
     except ValueError as exc:
@@ -302,8 +266,8 @@ def sub(a, b) -> Tensor:
     return _record("sub", out, (a, b), vjp)
 
 
-def mul(a, b) -> Tensor:
-    a, b = _operands("mul", a, b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    _check_operands("mul", a, b)
     try:
         out = a.data * b.data
     except ValueError as exc:
@@ -344,9 +308,8 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 * np.tanh(0.5 * x) + 0.5
 
 
-def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None, *,
-               eps: float = 1e-5) -> Tensor:
-    """Normalize the trailing axis to zero mean, unit variance (+eps).
+def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None) -> Tensor:
+    """Normalize the trailing axis to zero mean, unit variance (+1e-5).
 
     With ``gain`` and ``bias`` (both (C,), or neither) the result is
     ``xhat * gain + bias`` in the same record.
@@ -362,7 +325,7 @@ def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None
             raise ShapeError(f"layer_norm: gain and bias must be ({c},); got {gain.shape}, {bias.shape}")
     centered = x.data - _row_sum(x.data) / c
     var = _row_sum(centered * centered) / c
-    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.data.dtype))
+    inv = 1.0 / np.sqrt(var + np.asarray(_LAYER_NORM_EPS, dtype=x.data.dtype))
     xhat = centered * inv
     out = xhat
     if affine:
@@ -386,15 +349,14 @@ def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None
     return _record("layer_norm", out, (x, gain, bias) if affine else (x,), vjp)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Max-shifted softmax over ``axis``, which is moved last for the reductions."""
-    out = _softmax_rows(np.moveaxis(x.data, axis, -1))
+def softmax(x: Tensor) -> Tensor:
+    """Max-shifted softmax over the trailing axis."""
+    out = _softmax_rows(x.data)
 
     def vjp(g, live):
-        gl = np.moveaxis(g, axis, -1)
-        return (np.moveaxis(out * (gl - _row_sum(gl * out)), -1, axis),)
+        return (out * (g - _row_sum(g * out)),)
 
-    return _record("softmax", np.moveaxis(out, -1, axis), (x,), vjp)
+    return _record("softmax", out, (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -688,34 +650,24 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return _record("concat", out, tuple(tensors), vjp, check=False)
 
 
-def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = x.data.sum(axis=axis, keepdims=keepdims)
+def tsum(x: Tensor) -> Tensor:
+    """Sum of every element, as a 0-d tensor."""
+    out = x.data.sum()
 
     def vjp(g, live):
-        return (_spread(g, x.shape, axis, keepdims),)
+        return (np.broadcast_to(g, x.shape),)
 
     return _record("sum", np.asarray(out, dtype=x.data.dtype), (x,), vjp)
 
 
-def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = x.data.mean(axis=axis, keepdims=keepdims)
-    count = x.data.size if axis is None else np.prod([x.shape[a] for a in np.atleast_1d(axis)])
+def tmean(x: Tensor) -> Tensor:
+    """Mean of every element, as a 0-d tensor."""
+    out = x.data.mean()
 
     def vjp(g, live):
-        return (_spread(g, x.shape, axis, keepdims) / count,)
+        return (np.broadcast_to(g, x.shape) / x.data.size,)
 
     return _record("mean", np.asarray(out, dtype=x.data.dtype), (x,), vjp)
-
-
-def _spread(g: np.ndarray, shape: tuple, axis, keepdims: bool) -> np.ndarray:
-    """Broadcast a reduction gradient back to the input shape."""
-    if axis is None:
-        return np.broadcast_to(g.reshape((1,) * len(shape)), shape).astype(g.dtype, copy=False)
-    axes = tuple(a % len(shape) for a in np.atleast_1d(axis))
-    if not keepdims:
-        for a in sorted(axes):
-            g = np.expand_dims(g, a)
-    return np.broadcast_to(g, shape).astype(g.dtype, copy=False)
 
 
 def upsample2x(x: Tensor) -> Tensor:

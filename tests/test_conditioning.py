@@ -16,7 +16,7 @@ CANVAS = 12
 
 
 def _conditioner() -> Conditioner:
-    return Conditioner(Rng(0), PromptVocab(), canvas=CANVAS, cond_channels=1, d_embed=D,
+    return Conditioner(Rng(0), PromptVocab(text_len=8), canvas=CANVAS, cond_channels=1, d_embed=D,
                        encoder_channels=(4, 8), encoder_out_channels=8,
                        n_layers=2, n_heads=2, d_hidden=32)
 
@@ -27,7 +27,7 @@ def _layouts(rows: int, dtype=np.float64) -> Tensor:
 
 
 def test_vocab_pads_to_text_len_and_rejects_bad_prompts():
-    vocab = PromptVocab()
+    vocab = PromptVocab(text_len=8)
     assert vocab.encode(["red", "circle"]).tolist() == [1, 5, 0, 0, 0, 0, 0, 0]
     assert not vocab.encode([]).any()
     with pytest.raises(KeyError, match="purple"):
@@ -35,11 +35,11 @@ def test_vocab_pads_to_text_len_and_rejects_bad_prompts():
     with pytest.raises(ValueError, match="longer than"):
         vocab.encode(["red"] * 9)
     with pytest.raises(ValueError, match="PAD"):
-        PromptVocab(tokens=("red", PAD_TOKEN))
+        PromptVocab(text_len=8, tokens=("red", PAD_TOKEN))
 
 
 def test_frozen_table_rows_are_orthonormal():
-    table = frozen_orthogonal_table(Rng(2), 8, D, dtype=np.float64)
+    table = frozen_orthogonal_table(Rng(2), 8, D)
     np.testing.assert_allclose(table @ table.T, np.eye(8), atol=1e-12)
     with pytest.raises(ValueError):
         frozen_orthogonal_table(Rng(2), D + 1, D)

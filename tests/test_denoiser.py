@@ -10,7 +10,7 @@ CANVAS = 12
 
 
 def _denoiser() -> Denoiser:
-    den = Denoiser(Rng(0), CONFIG, CANVAS)
+    den = Denoiser(Rng(0), CONFIG, CANVAS, 3)
     w = den.out_conv.w
     w.data[...] = Rng(1).gaussian(w.shape) * 0.1
     return den
@@ -30,7 +30,7 @@ def test_config_channels():
 
 def test_canvas_must_divide_by_the_downsampling_factor():
     with pytest.raises(ValueError, match="not divisible"):
-        Denoiser(Rng(0), DenoiserConfig(channel_mult=(1, 2, 2)), 10)
+        Denoiser(Rng(0), DenoiserConfig(channel_mult=(1, 2, 2)), 10, 3)
 
 
 def test_output_shape_equals_input_shape():

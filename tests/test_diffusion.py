@@ -29,7 +29,7 @@ def test_two_step_schedule_hand_product():
 
 
 def test_default_schedule_endpoint():
-    sched = linear_schedule(1000)
+    sched = linear_schedule(1000, 1e-4, 0.02)
     assert sched.alpha_bar(1000) < 1e-4
 
 
@@ -43,7 +43,7 @@ def test_schedule_rejects_bad_betas():
 
 
 def test_schedule_equality_is_identity():
-    a, b = linear_schedule(10), linear_schedule(10)
+    a, b = linear_schedule(10, 1e-4, 0.02), linear_schedule(10, 1e-4, 0.02)
     assert (a == b) is False
     assert a == a
     assert hash(a) == hash(a)
@@ -69,21 +69,21 @@ def test_schedule_recurrence_and_monotonicity(total, b0, b1):
 
 
 def test_forward_noiseless():
-    sched = linear_schedule(10)
+    sched = linear_schedule(10, 1e-4, 0.02)
     x0 = Tensor(np.linspace(-1, 1, 8))
     out = forward_diffuse(x0, 5, Tensor(np.zeros(8)), sched)
     assert np.allclose(out.data, np.sqrt(sched.alpha_bar(5)) * x0.data)
 
 
 def test_forward_pure_noise():
-    sched = linear_schedule(10)
+    sched = linear_schedule(10, 1e-4, 0.02)
     eps = Tensor(Rng(0).gaussian((8,)))
     out = forward_diffuse(Tensor(np.zeros(8)), 7, eps, sched)
     assert np.allclose(out.data, np.sqrt(1 - sched.alpha_bar(7)) * eps.data)
 
 
 def test_forward_inverse_identity():
-    sched = linear_schedule(50)
+    sched = linear_schedule(50, 1e-4, 0.02)
     rng = Rng(5)
     for case in range(30):
         t = int(rng.integers(1, 50)[0]) + 1
@@ -96,7 +96,7 @@ def test_forward_inverse_identity():
 
 
 def test_forward_batched_matches_scalar():
-    sched = linear_schedule(30)
+    sched = linear_schedule(30, 1e-4, 0.02)
     rng = Rng(6)
     x0 = rng.gaussian((3, 2, 4, 4))
     eps = rng.gaussian((3, 2, 4, 4))
@@ -108,7 +108,7 @@ def test_forward_batched_matches_scalar():
 
 
 def test_forward_rejects_bad_t():
-    sched = linear_schedule(10)
+    sched = linear_schedule(10, 1e-4, 0.02)
     x = Tensor(np.zeros(3))
     with pytest.raises(ValueError):
         forward_diffuse(x, 0, x, sched)
@@ -121,7 +121,7 @@ def test_forward_rejects_bad_t():
 @pytest.mark.parametrize("rows, t", [(1, [5, 6, 7]), (2, [[5], [6]]), (2, [5, 6, 7])],
                          ids=["grows-one-row", "column-t", "too-many-steps"])
 def test_forward_rejects_a_t_that_is_not_one_step_per_row(rows, t):
-    sched = linear_schedule(10)
+    sched = linear_schedule(10, 1e-4, 0.02)
     x = Tensor(np.zeros((rows, 3, 4, 4)))
     t = np.array(t)
     with pytest.raises(ShapeError, match=re.escape(f"forward_diffuse: t shape {t.shape} != ({rows},)")):
@@ -129,7 +129,7 @@ def test_forward_rejects_a_t_that_is_not_one_step_per_row(rows, t):
 
 
 def test_forward_takes_an_int_or_0d_t_for_any_batch():
-    sched = linear_schedule(10)
+    sched = linear_schedule(10, 1e-4, 0.02)
     for shape in ((8,), (1, 3, 4, 4), (3, 3, 4, 4)):
         x = Tensor(np.ones(shape))
         expected = np.full(shape, np.sqrt(sched.alpha_bar(4)))
@@ -138,7 +138,7 @@ def test_forward_takes_an_int_or_0d_t_for_any_batch():
 
 
 def test_ddpm_final_step_is_deterministic():
-    sched = linear_schedule(10)
+    sched = linear_schedule(10, 1e-4, 0.02)
     xt = Tensor(Rng(1).gaussian((5,)))
     eps = Tensor(Rng(2).gaussian((5,)))
     noisy = ddpm_step(xt, 1, eps, Tensor(np.full(5, 100.0)), sched)
@@ -164,7 +164,7 @@ def test_ddpm_tiny_beta_near_identity():
 
 
 def test_ddim_t_prev_zero_returns_x0_hat():
-    sched = linear_schedule(20)
+    sched = linear_schedule(20, 1e-4, 0.02)
     rng = Rng(7)
     x0 = rng.gaussian((3, 3))
     eps = rng.gaussian((3, 3))
@@ -175,7 +175,7 @@ def test_ddim_t_prev_zero_returns_x0_hat():
 
 
 def test_ddim_zero_eps_is_exact_rescale():
-    sched = linear_schedule(20)
+    sched = linear_schedule(20, 1e-4, 0.02)
     xt = Tensor(Rng(8).gaussian((4,)))
     out = ddim_step(xt, 15, 5, Tensor(np.zeros(4)), sched)
     factor = np.sqrt(sched.alpha_bar(5) / sched.alpha_bar(15))
@@ -184,7 +184,7 @@ def test_ddim_zero_eps_is_exact_rescale():
 
 
 def test_ddim_rejects_non_decreasing_pair():
-    sched = linear_schedule(20)
+    sched = linear_schedule(20, 1e-4, 0.02)
     x = Tensor(np.zeros(2))
     with pytest.raises(ValueError):
         ddim_step(x, 5, 5, x, sched)
@@ -192,8 +192,32 @@ def test_ddim_rejects_non_decreasing_pair():
         ddim_step(x, 5, 9, x, sched)
 
 
+@pytest.mark.parametrize("step, arg, ts", [
+    ("ddim_step", "t", (np.array([5, 6]), 2)),
+    ("ddim_step", "t", (np.array([5]), np.array([2]))),
+    ("ddim_step", "t_prev", (5, np.array([2, 3]))),
+    ("ddpm_step", "t", (np.array([5, 6]),)),
+], ids=["ddim-t", "ddim-1-entry-t", "ddim-t-prev", "ddpm-t"])
+def test_reverse_steps_reject_a_step_that_is_not_0d_by_name(step, arg, ts):
+    sched = linear_schedule(20, 1e-4, 0.02)
+    x = Tensor(np.zeros((2, 3)))
+    call = (lambda: ddim_step(x, *ts, x, sched)) if step == "ddim_step" else \
+        (lambda: ddpm_step(x, *ts, x, None, sched))
+    with pytest.raises(ShapeError, match=rf"^{step}: {arg} must be a single step \(0-d\)"):
+        call()
+
+
+def test_reverse_steps_take_a_0d_array_step():
+    sched = linear_schedule(20, 1e-4, 0.02)
+    x, eps = Tensor(Rng(9).gaussian((2, 3))), Tensor(Rng(10).gaussian((2, 3)))
+    assert np.array_equal(ddim_step(x, np.asarray(15), np.asarray(5), eps, sched).data,
+                          ddim_step(x, 15, 5, eps, sched).data)
+    assert np.array_equal(ddpm_step(x, np.asarray(15), eps, None, sched).data,
+                          ddpm_step(x, 15, eps, None, sched).data)
+
+
 def test_ddim_rejects_steps_outside_the_schedule():
-    sched = linear_schedule(20)
+    sched = linear_schedule(20, 1e-4, 0.02)
     x = Tensor(np.zeros(2))
     with pytest.raises(ValueError, match=r"t=21 outside schedule range \[0, 20\]"):
         ddim_step(x, 21, 5, x, sched)
@@ -215,7 +239,7 @@ def _sampler_times(total, n):
 
 def test_ddim_single_point_oracle_recovers_target():
     # optimal predictor for a one-point dataset: any trajectory must land on it
-    sched = linear_schedule(1000)
+    sched = linear_schedule(1000, 1e-4, 0.02)
     x_star = Rng(10).gaussian((2, 4, 4))
     eps_star = _oracle_eps(x_star)
     times = _sampler_times(1000, 50)
@@ -228,7 +252,7 @@ def test_ddim_single_point_oracle_recovers_target():
 
 
 def test_ddpm_expected_path_oracle_recovers_target():
-    sched = linear_schedule(100)
+    sched = linear_schedule(100, 1e-4, 0.02)
     x_star = Rng(11).gaussian((3, 3))
     eps_star = _oracle_eps(x_star)
     x = Rng(12).gaussian((3, 3))
@@ -238,7 +262,7 @@ def test_ddpm_expected_path_oracle_recovers_target():
 
 
 def test_sdedit_boundaries():
-    sched = linear_schedule(1000)
+    sched = linear_schedule(1000, 1e-4, 0.02)
     times = _sampler_times(1000, 50)
     cond = Tensor(Rng(13).gaussian((1, 4, 4)))
     x, idx = sdedit_init(cond, 0.0, times, sched, Rng(0))
@@ -251,7 +275,7 @@ def test_sdedit_boundaries():
 
 
 def test_sdedit_index_arithmetic():
-    sched = linear_schedule(1000)
+    sched = linear_schedule(1000, 1e-4, 0.02)
     times = _sampler_times(1000, 50)
     cond = Tensor(np.zeros((1, 2, 2)))
     _, idx = sdedit_init(cond, 0.8, times, sched, Rng(1))
@@ -263,7 +287,7 @@ def test_sdedit_index_arithmetic():
 
 
 def test_sdedit_float_floor_guard():
-    sched = linear_schedule(1000)
+    sched = linear_schedule(1000, 1e-4, 0.02)
     times = _sampler_times(1000, 50)
     cond = Tensor(np.zeros((1, 2, 2)))
     _, idx = sdedit_init(cond, 0.7, times, sched, Rng(1))
@@ -271,7 +295,7 @@ def test_sdedit_float_floor_guard():
 
 
 def test_sdedit_rejects_bad_strength():
-    sched = linear_schedule(10)
+    sched = linear_schedule(10, 1e-4, 0.02)
     times = _sampler_times(10, 5)
     cond = Tensor(np.zeros(2))
     with pytest.raises(ValueError):

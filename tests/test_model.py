@@ -141,7 +141,8 @@ def test_the_model_dtype_is_float32_or_float64():
 
 def test_layers_built_alone_are_float64():
     model = DiffusionModel(TINY, rng=Rng(0), dtype=np.float64)
-    den = Denoiser(Rng(0).split("denoiser"), TINY.denoiser, TINY.canvas)
+    den = Denoiser(Rng(0).split("denoiser"), TINY.denoiser, TINY.canvas,
+                   TINY.image_channels)
     cond = Conditioner(Rng(0).split("conditioner"), model.vocab, canvas=TINY.canvas,
                        cond_channels=TINY.cond_channels, d_embed=TINY.d_embed,
                        encoder_channels=TINY.encoder_channels,

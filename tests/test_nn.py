@@ -21,9 +21,9 @@ def _rand(rng, shape):
 
 
 def test_trunc_normal_stays_within_two_std():
-    out = trunc_normal(Rng(0), (4000,), std=0.5, dtype=np.float64)
-    assert np.max(np.abs(out)) <= 1.0
-    assert abs(out.std() - 0.5 * 0.88) < 0.03  # std of N(0,1) truncated at 2 is 0.88
+    out = trunc_normal(Rng(0), (4000,), dtype=np.float64)
+    assert np.max(np.abs(out)) <= 0.04
+    assert abs(out.std() - 0.02 * 0.88) < 0.0012  # std of N(0,1) truncated at 2 is 0.88
 
 
 def test_conv_layer_draws_oihw_and_stores_channels_last():

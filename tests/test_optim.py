@@ -63,6 +63,41 @@ def test_state_roundtrip_resumes_identically():
     assert np.array_equal(p1.data, p2.data)
 
 
+def _stepped_adam():
+    params = {"a": Tensor(np.ones(2)), "p": Tensor(np.ones((1, 3)))}
+    opt = Adam(params)
+    opt.step({"a": np.array([0.5, -1.0]), "p": np.array([[1.0, 2.0, -3.0]])})
+    return opt
+
+
+@pytest.mark.parametrize("entry, bad, message", [
+    ("m", np.array([[np.nan, 0.0, 0.0]]), r"non-finite values in m for 'p'"),
+    ("v", np.array([[0.0, np.inf, 0.0]]), r"non-finite values in v for 'p'"),
+    ("v", np.array([[0.0, -1.0, 0.0]]), r"negative values in v for 'p'"),
+    ("m", np.zeros(3), r"m shape \(3,\) != param shape \(1, 3\) for 'p'"),
+    ("v", np.zeros((3, 1)), r"v shape \(3, 1\) != param shape \(1, 3\) for 'p'"),
+    ("step_count", -7, r"step_count must be an integer >= 0, got -7"),
+    ("step_count", -1, r"step_count must be an integer >= 0, got -1"),
+    ("step_count", 2.5, r"step_count must be an integer >= 0, got 2.5"),
+], ids=["nan-m", "inf-v", "negative-v", "m-shape", "v-shape", "step-count--7",
+        "step-count--1", "float-step-count"])
+def test_adam_load_state_checks_every_entry_before_copying_any(entry, bad, message):
+    opt = _stepped_adam()
+    before = ({k: a.copy() for k, a in opt.m.items()}, {k: a.copy() for k, a in opt.v.items()})
+    state = {"m": {"a": np.full(2, 0.5), "p": np.zeros((1, 3))},
+             "v": {"a": np.full(2, 0.5), "p": np.zeros((1, 3))}, "step_count": 3}
+    if entry == "step_count":
+        state[entry] = bad
+    else:
+        state[entry]["p"] = bad
+    with pytest.raises(ValueError, match=rf"^adam: {message}"):
+        opt.load_state(state["m"], state["v"], state["step_count"])
+    assert opt.step_count == 1
+    for name in ("a", "p"):
+        assert np.array_equal(opt.m[name], before[0][name])
+        assert np.array_equal(opt.v[name], before[1][name])
+
+
 def test_clip_global_norm():
     grads = {"a": np.array([3.0, 0.0]), "b": np.array([0.0, 4.0])}
     norm = clip_global_norm(grads, 1.0)

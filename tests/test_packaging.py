@@ -1,5 +1,6 @@
 """Every declared runtime dependency is installed and imported by the
-library, and the library leaves out the imports it has decided against."""
+library, the library leaves out the imports it has decided against, and
+every public name it defines has a caller or a planned one."""
 
 import ast
 import importlib.util
@@ -51,3 +52,70 @@ def test_no_module_imports_numpy_random():
         capture_output=True, text=True, check=True, timeout=60,
     )
     assert proc.stdout.strip() == "[]"
+
+
+# Public names that nothing in the library or the benchmark uses yet, each with
+# the ROADMAP item that plans its first caller. The list can only shrink: a
+# listed name that gains a caller fails the guard until it is taken off.
+UNCALLED = {
+    "Conditioner.fuse_text_only": "item 2: the per-step condition choice",
+    "ddpm_step": "item 2: the library sampler",
+    "Adam.load_state": "item 2: resuming from a checkpoint",
+    "sdedit_init": "item 1: the SDEdit baseline",
+    "write_ppm": "item 1: the eval script's image grids",
+    "write_pgm": "item 1: the eval script's image grids",
+    "read_ppm": "item 1: the eval script's image grids",
+    "read_pgm": "item 1: the eval script's image grids",
+    "layout_iou": "item 1: the eval script",
+    "color_adherence": "item 1: the eval script",
+    "pixel_mse": "item 1: the eval script",
+}
+
+
+def _references(node) -> list[str]:
+    """Every name read, attribute read or name imported under ``node``."""
+    out = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.append(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            out.append(sub.attr)
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            out.extend(alias.name.split(".")[-1] for alias in sub.names)
+    return out
+
+
+def _uncalled() -> set[str]:
+    """Public top-level names and public methods of the library that no code
+    in ``src/duetdiff`` or ``perfbench/`` (its tests left out) refers to.
+
+    A reference inside the definition's own body does not count."""
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+    counts: dict[str, int] = {}
+    for tree in trees.values():
+        for name in _references(tree):
+            counts[name] = counts.get(name, 0) + 1
+    defined = []  # (qualified name, bare name, definition node)
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((node.name, node.name, node))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.extend((t.id, t.id, node) for t in targets if isinstance(t, ast.Name))
+            if isinstance(node, ast.ClassDef):
+                defined.extend((f"{node.name}.{item.name}", item.name, item) for item in node.body
+                               if isinstance(item, ast.FunctionDef))
+    return {qualified for qualified, bare, node in defined
+            if not bare.startswith("_")
+            and counts.get(bare, 0) == _references(node).count(bare)}
+
+
+def test_every_public_name_has_a_caller_or_a_planned_one():
+    uncalled = _uncalled()
+    new, called = sorted(uncalled - UNCALLED.keys()), sorted(UNCALLED.keys() - uncalled)
+    assert not new, f"{new}: no caller in src/duetdiff or perfbench; delete or call them"
+    assert not called, f"{called}: now called; take them off UNCALLED"
