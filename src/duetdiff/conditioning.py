@@ -1,57 +1,35 @@
 """Joint text+image conditioning: encoders, fusion, nulls, and dropout.
 
-A frozen embedding table stands in for a pretrained text encoder; a small
+A frozen embedding table stands in for a pretrained text encoder: its rows
+are the words ``synthdata`` writes into prompts, with PAD at id 0. A small
 trainable conv stack summarizes the condition image into spatial tokens; a
 fusion transformer maps the concatenated token sequence into one joint
 embedding. Nulling either side (padded prompt, learnable empty-image
 block) gives the unconditional variants used for guidance and for
 train-time condition dropout.
+
+``Conditioner`` reads its sizes from the ``ModelConfig``; the sublayers
+take theirs as arguments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .nn import Conv2dLayer, LayerNormAffine, Linear, TransformerBlock, trunc_normal
 from .rng import Rng
+from .synthdata import COLOR_NAMES, SHAPES
 from .tensor import Tensor, add, concat, mul, reshape, silu, transpose
+
+if TYPE_CHECKING:
+    from .model import ModelConfig
 
 
 PAD_TOKEN = "<pad>"
-DEFAULT_TOKENS = (PAD_TOKEN, "red", "green", "blue", "yellow", "circle", "square", "triangle")
-
-
-@dataclass(frozen=True)
-class PromptVocab:
-    """Fixed encoded length, and a token list with reserved PAD at id 0."""
-
-    text_len: int
-    tokens: tuple[str, ...] = DEFAULT_TOKENS
-    _ids: dict = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if not self.tokens or self.tokens[0] != PAD_TOKEN:
-            raise ValueError(f"vocab must start with the PAD token {PAD_TOKEN!r}")
-        object.__setattr__(self, "_ids", {tok: i for i, tok in enumerate(self.tokens)})
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def encode(self, prompt: list[str]) -> np.ndarray:
-        """Right-pad a token list to exactly ``text_len`` ids.
-
-        The empty prompt encodes to all-PAD ids (the text null).
-        """
-        if len(prompt) > self.text_len:
-            raise ValueError(f"prompt longer than text_len={self.text_len}: {prompt}")
-        ids = np.zeros(self.text_len, dtype=np.int64)
-        for i, tok in enumerate(prompt):
-            if tok not in self._ids:
-                raise KeyError(f"unknown token {tok!r}")
-            ids[i] = self._ids[tok]
-        return ids
+TOKENS = (PAD_TOKEN, *COLOR_NAMES, *SHAPES)
+_TOKEN_IDS = {tok: i for i, tok in enumerate(TOKENS)}
 
 
 def frozen_orthogonal_table(rng: Rng, vocab_size: int, d_embed: int) -> np.ndarray:
@@ -64,19 +42,6 @@ def frozen_orthogonal_table(rng: Rng, vocab_size: int, d_embed: int) -> np.ndarr
             raw[i] -= np.dot(raw[i], raw[j]) * raw[j]
         raw[i] /= np.linalg.norm(raw[i])
     return raw
-
-
-class PromptEncoder:
-    """Frozen lookup table; gradients never reach it."""
-
-    def __init__(self, rng: Rng, vocab: PromptVocab, d_embed: int):
-        self.vocab = vocab
-        self.table = Tensor(frozen_orthogonal_table(rng, len(vocab), d_embed))
-
-    def __call__(self, prompts: list[list[str]]) -> Tensor:
-        """(B, text_len, d) constant embedding for a batch of token lists."""
-        ids = np.stack([self.vocab.encode(p) for p in prompts])
-        return Tensor(self.table.data[ids])
 
 
 class ImageEncoder:
@@ -153,28 +118,39 @@ class FusionTransformer:
 class Conditioner:
     """Bundles the encoders, fusion transformer, and null embeddings."""
 
-    def __init__(self, rng: Rng, vocab: PromptVocab, canvas: int, cond_channels: int,
-                 d_embed: int, encoder_channels: tuple[int, ...], encoder_out_channels: int,
-                 n_layers: int, n_heads: int, d_hidden: int):
-        self.vocab = vocab
-        self.prompt_encoder = PromptEncoder(rng.split("prompt"), vocab, d_embed)
-        self.image_encoder = ImageEncoder(rng.split("image"), cond_channels, encoder_channels,
-                                          encoder_out_channels, d_embed)
-        self.image_tokens = self.image_encoder.token_count(canvas, canvas)
-        self.fusion = FusionTransformer(rng.split("fusion"), vocab.text_len + self.image_tokens,
-                                        d_embed, n_layers, n_heads, d_hidden)
+    def __init__(self, rng: Rng, config: ModelConfig):
+        self.text_len = config.text_len
+        self.prompt_table = Tensor(frozen_orthogonal_table(rng.split("prompt"), len(TOKENS),
+                                                           config.d_embed))
+        self.image_encoder = ImageEncoder(rng.split("image"), config.cond_channels,
+                                          config.encoder_channels, config.encoder_out_channels,
+                                          config.d_embed)
+        self.image_tokens = self.image_encoder.token_count(config.canvas, config.canvas)
+        self.fusion = FusionTransformer(rng.split("fusion"), self.text_len + self.image_tokens,
+                                        config.d_embed, config.fusion_layers,
+                                        config.fusion_heads, config.fusion_hidden)
         self.null_image = Tensor(
-            trunc_normal(rng.split("null_image"), (self.image_tokens, d_embed)),
+            trunc_normal(rng.split("null_image"), (self.image_tokens, config.d_embed)),
             requires_grad=True,
         )
 
     # -- encoders ---------------------------------------------------------
 
     def encode_prompt(self, prompts: list[list[str]]) -> Tensor:
-        return self.prompt_encoder(prompts)
+        """(B, text_len, d) frozen table rows; each prompt is right-padded
+        with PAD, so the empty prompt is all PAD (the text null)."""
+        ids = np.zeros((len(prompts), self.text_len), dtype=np.int64)
+        for row, prompt in zip(ids, prompts):
+            if len(prompt) > self.text_len:
+                raise ValueError(f"prompt longer than text_len={self.text_len}: {prompt}")
+            for i, tok in enumerate(prompt):
+                if tok not in _TOKEN_IDS:
+                    raise KeyError(f"unknown token {tok!r}")
+                row[i] = _TOKEN_IDS[tok]
+        return Tensor(self.prompt_table.data[ids])
 
     def null_text(self, batch: int) -> Tensor:
-        return self.prompt_encoder([[]] * batch)
+        return self.encode_prompt([[]] * batch)
 
     def encode_image(self, images: Tensor) -> Tensor:
         if images.dtype != self.null_image.dtype:

@@ -8,17 +8,24 @@ block. The final convolution starts at zero so the initial prediction is 0.
 Inputs and outputs are (N, C, H, W); inside, every feature map is
 channels-last, (N, H, W, C), so the only layout changes are the transposes
 where ``Denoiser.__call__`` starts and ends.
+
+``Denoiser`` reads its sizes from the ``ModelConfig``: the canvas, the
+image channels and the ``DenoiserConfig`` it holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .nn import Attention, Conv2dLayer, LayerNormAffine, Linear, Mlp, timestep_embedding
 from .rng import Rng
 from .tensor import Tensor, add, concat, reshape, silu, transpose, upsample2x
+
+if TYPE_CHECKING:
+    from .model import ModelConfig
 
 
 @dataclass(frozen=True)
@@ -81,31 +88,26 @@ class SpatialAttnBlock:
 class Denoiser:
     """U-shaped eps-prediction network; output shape equals input shape."""
 
-    def __init__(self, rng: Rng, config: DenoiserConfig, canvas: int, channels: int):
-        self.config = config
-        chans = config.channels()
+    def __init__(self, rng: Rng, config: ModelConfig):
+        den = self.config = config.denoiser
+        chans = den.channels()
         levels = len(chans)
-        factor = 2 ** (levels - 1)
-        if canvas % factor:
-            raise ValueError(f"canvas {canvas} not divisible by downsampling factor {factor}")
 
-        self.time_fc1 = Linear(rng.split("time_fc1"), config.temb_dim, config.temb_dim)
-        self.time_fc2 = Linear(rng.split("time_fc2"), config.temb_dim, config.temb_dim)
-        self.in_conv = Conv2dLayer(rng.split("in_conv"), channels, chans[0], 3, padding=1)
-
-        def attn_here(res):
-            return res in config.attn_resolutions
+        self.time_fc1 = Linear(rng.split("time_fc1"), den.temb_dim, den.temb_dim)
+        self.time_fc2 = Linear(rng.split("time_fc2"), den.temb_dim, den.temb_dim)
+        self.in_conv = Conv2dLayer(rng.split("in_conv"), config.image_channels, chans[0], 3,
+                                   padding=1)
 
         self.down = []
-        res = canvas
+        res = config.canvas
         for lvl, c in enumerate(chans):
             r = rng.split(f"down{lvl}")
             blocks = []
-            for b in range(config.res_blocks):
-                entry = {"res": ResBlock(r.split(f"res{b}"), c, c, config.temb_dim)}
-                if attn_here(res):
-                    entry["attn"] = SpatialAttnBlock(r.split(f"attn{b}"), c, config.cond_dim,
-                                                     config.n_heads)
+            for b in range(den.res_blocks):
+                entry = {"res": ResBlock(r.split(f"res{b}"), c, c, den.temb_dim)}
+                if res in den.attn_resolutions:
+                    entry["attn"] = SpatialAttnBlock(r.split(f"attn{b}"), c, den.cond_dim,
+                                                     den.n_heads)
                 blocks.append(entry)
             down_conv = None
             if lvl + 1 < levels:
@@ -115,21 +117,21 @@ class Denoiser:
 
         r = rng.split("middle")
         c_mid = chans[-1]
-        self.mid_res1 = ResBlock(r.split("res1"), c_mid, c_mid, config.temb_dim)
-        self.mid_attn = SpatialAttnBlock(r.split("attn"), c_mid, config.cond_dim, config.n_heads)
-        self.mid_res2 = ResBlock(r.split("res2"), c_mid, c_mid, config.temb_dim)
+        self.mid_res1 = ResBlock(r.split("res1"), c_mid, c_mid, den.temb_dim)
+        self.mid_attn = SpatialAttnBlock(r.split("attn"), c_mid, den.cond_dim, den.n_heads)
+        self.mid_res2 = ResBlock(r.split("res2"), c_mid, c_mid, den.temb_dim)
 
         self.up = []
         for lvl in reversed(range(levels)):
             r = rng.split(f"up{lvl}")
             c = chans[lvl]
             blocks = []
-            for b in range(config.res_blocks):
+            for b in range(den.res_blocks):
                 entry = {"res": ResBlock(r.split(f"res{b}"), 2 * c if b == 0 else c, c,
-                                         config.temb_dim)}
-                if attn_here(res):
-                    entry["attn"] = SpatialAttnBlock(r.split(f"attn{b}"), c, config.cond_dim,
-                                                     config.n_heads)
+                                         den.temb_dim)}
+                if res in den.attn_resolutions:
+                    entry["attn"] = SpatialAttnBlock(r.split(f"attn{b}"), c, den.cond_dim,
+                                                     den.n_heads)
                 blocks.append(entry)
             up_conv = None
             if lvl:
@@ -138,7 +140,7 @@ class Denoiser:
             self.up.append({"blocks": blocks, "up": up_conv})
 
         self.out_norm = LayerNormAffine(chans[0])
-        self.out_conv = Conv2dLayer(rng.split("out_conv"), chans[0], channels, 3,
+        self.out_conv = Conv2dLayer(rng.split("out_conv"), chans[0], config.image_channels, 3,
                                     padding=1, zero_init=True)
 
     def time_features(self, t) -> Tensor:

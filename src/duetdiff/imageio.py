@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .synthdata import to_unit
+
 
 class ImageFormatError(ValueError):
     """Malformed or unsupported PPM/PGM content."""
@@ -19,11 +21,6 @@ def to_bytes_channel(values: np.ndarray) -> np.ndarray:
     """[-1, 1] floats -> uint8, round half away from zero."""
     v = (np.asarray(values, dtype=np.float64) + 1.0) * 127.5
     return np.clip(np.floor(v + 0.5), 0, 255).astype(np.uint8)
-
-
-def from_bytes_channel(raw: np.ndarray) -> np.ndarray:
-    """uint8 -> [-1, 1] float64 (inverse of ``to_bytes_channel`` on bytes)."""
-    return raw.astype(np.float64) * (2.0 / 255.0) - 1.0
 
 
 def ppm_bytes(image: np.ndarray) -> bytes:
@@ -95,7 +92,7 @@ def read_ppm(path: str | Path) -> np.ndarray:
     if len(payload) != expected or len(data) != pos + expected:
         raise ImageFormatError(f"payload length {len(data) - pos}, expected {expected}")
     raw = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3).transpose(2, 0, 1)
-    return from_bytes_channel(raw)
+    return to_unit(raw)
 
 
 def read_pgm(path: str | Path) -> np.ndarray:
@@ -107,4 +104,4 @@ def read_pgm(path: str | Path) -> np.ndarray:
     if len(payload) != expected or len(data) != pos + expected:
         raise ImageFormatError(f"payload length {len(data) - pos}, expected {expected}")
     raw = np.frombuffer(payload, dtype=np.uint8).reshape(1, h, w)
-    return from_bytes_channel(raw)
+    return to_unit(raw)

@@ -14,6 +14,10 @@ at float64, and ``DiffusionModel`` casts each registered tensor once to
 its ``dtype``. The layers read any run-time dtype from those tensors, and
 ``predict_eps`` and ``Conditioner.encode_image`` reject input of another
 dtype by name.
+
+``ModelConfig`` holds every size and rejects a bad combination when it is
+built. ``Conditioner`` and ``Denoiser`` take the config and read the sizes
+they use from it.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conditioning import Conditioner, PromptVocab
+from .conditioning import Conditioner
 from .denoiser import Denoiser, DenoiserConfig
 from .diffusion import NoiseSchedule, linear_schedule
 from .nn import named_params
@@ -47,36 +51,52 @@ class ModelConfig:
     beta_start: float = 1e-4
     beta_end: float = 0.02
 
+    def __post_init__(self):
+        """Reject sizes that would build a model that fails later or drops layers."""
+        den = self.denoiser
+        chans = den.channels()
+        factor = 2 ** (len(chans) - 1)
+        if self.canvas % factor:
+            raise ValueError(f"canvas {self.canvas} not divisible by the denoiser's downsampling "
+                             f"factor {factor} (denoiser.channel_mult)")
+        stride = 2 ** len(self.encoder_channels)
+        if self.canvas % stride:
+            raise ValueError(f"canvas {self.canvas} not divisible by the image encoder's stride "
+                             f"{stride} (encoder_channels)")
+        resolutions = [self.canvas // 2**lvl for lvl in range(len(chans))]
+        if not set(den.attn_resolutions) <= set(resolutions):
+            raise ValueError(f"denoiser.attn_resolutions {den.attn_resolutions} must be U-Net "
+                             f"resolutions of canvas {self.canvas}: {resolutions}")
+        # the middle block attends at every configuration
+        attn_chans = {c for c, res in zip(chans, resolutions) if res in den.attn_resolutions}
+        attn_chans.add(chans[-1])
+        if any(c % den.n_heads for c in attn_chans):
+            raise ValueError(f"denoiser.n_heads {den.n_heads} must divide the attention "
+                             f"channels {sorted(attn_chans)}")
+        if den.temb_dim % 2:
+            raise ValueError(f"denoiser.temb_dim must be even, got {den.temb_dim}")
+        if den.cond_dim != self.d_embed:
+            raise ValueError(f"denoiser.cond_dim {den.cond_dim} != d_embed {self.d_embed}")
+        if self.d_embed % self.fusion_heads:
+            raise ValueError(f"fusion_heads {self.fusion_heads} must divide d_embed {self.d_embed}")
+        if self.text_len < 1:
+            raise ValueError(f"text_len must be at least 1, got {self.text_len}")
+
 
 class DiffusionModel:
-    """Conditioned denoiser with its schedule, vocab, and tensor registry."""
+    """Conditioned denoiser with its schedule and tensor registry."""
 
     def __init__(self, config: ModelConfig, rng: Rng | None = None, dtype=np.float32):
         self.config = config
         self.dtype = np.dtype(dtype)
         if self.dtype not in (np.float32, np.float64):
             raise ValueError(f"model dtype must be float32 or float64, got {self.dtype}")
-        self.vocab = PromptVocab(text_len=config.text_len)
         self.schedule: NoiseSchedule = linear_schedule(
             config.total_steps, config.beta_start, config.beta_end
         )
         rng = rng or Rng(0)
-        self.conditioner = Conditioner(
-            rng.split("conditioner"),
-            self.vocab,
-            canvas=config.canvas,
-            cond_channels=config.cond_channels,
-            d_embed=config.d_embed,
-            encoder_channels=config.encoder_channels,
-            encoder_out_channels=config.encoder_out_channels,
-            n_layers=config.fusion_layers,
-            n_heads=config.fusion_heads,
-            d_hidden=config.fusion_hidden,
-        )
-        if config.denoiser.cond_dim != config.d_embed:
-            raise ValueError("denoiser cond_dim must equal d_embed")
-        self.denoiser = Denoiser(rng.split("denoiser"), config.denoiser, config.canvas,
-                                 config.image_channels)
+        self.conditioner = Conditioner(rng.split("conditioner"), config)
+        self.denoiser = Denoiser(rng.split("denoiser"), config)
         for t in self._tensors().values():
             t.data = t.data.astype(self.dtype, copy=False)
 
@@ -120,7 +140,7 @@ class DiffusionModel:
         c, hw = self.config.image_channels, self.config.canvas
         if x_t.shape[1:] != (c, hw, hw):
             raise ValueError(f"x_t shape {x_t.shape} != (N, {c}, {hw}, {hw})")
-        seq, d = self.vocab.text_len + self.conditioner.image_tokens, self.config.d_embed
+        seq, d = self.conditioner.fusion.seq_len, self.config.d_embed
         if cond.shape != (x_t.shape[0], seq, d):
             raise ValueError(f"condition shape {cond.shape} != ({x_t.shape[0]}, {seq}, {d})")
         for arg, value in (("x_t", x_t), ("cond", cond)):

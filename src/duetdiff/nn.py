@@ -128,7 +128,7 @@ class TransformerBlock:
         return add(x, self.mlp(self.norm2(x)))
 
 
-def timestep_embedding(t, dim: int, dtype=np.float64) -> np.ndarray:
+def timestep_embedding(t, dim: int, dtype) -> np.ndarray:
     """Sinusoidal features [sin(t*w_j), cos(t*w_j)], w_j = 10000^(-2j/dim).
 
     t may be a scalar or a 1-D array; output gains a leading batch axis for

@@ -1,24 +1,19 @@
 import numpy as np
 import pytest
 
-from duetdiff.conditioning import (
-    PAD_TOKEN,
-    Conditioner,
-    ImageEncoder,
-    PromptVocab,
-    frozen_orthogonal_table,
-)
+from duetdiff.conditioning import TOKENS, Conditioner, ImageEncoder, frozen_orthogonal_table
 from duetdiff.rng import Rng
+from duetdiff.synthdata import COLOR_NAMES, SHAPES, SceneSpec, make_prompt
 from duetdiff.tensor import GradTape, Tensor, tsum
 
-D = 16
-CANVAS = 12
+from tiny import TINY
+
+D = TINY.d_embed
+CANVAS = TINY.canvas
 
 
 def _conditioner() -> Conditioner:
-    return Conditioner(Rng(0), PromptVocab(text_len=8), canvas=CANVAS, cond_channels=1, d_embed=D,
-                       encoder_channels=(4, 8), encoder_out_channels=8,
-                       n_layers=2, n_heads=2, d_hidden=32)
+    return Conditioner(Rng(0), TINY)
 
 
 def _layouts(rows: int, dtype=np.float64) -> Tensor:
@@ -26,16 +21,28 @@ def _layouts(rows: int, dtype=np.float64) -> Tensor:
     return Tensor(bits.reshape(rows, 1, CANVAS, CANVAS).astype(dtype))
 
 
-def test_vocab_pads_to_text_len_and_rejects_bad_prompts():
-    vocab = PromptVocab(text_len=8)
-    assert vocab.encode(["red", "circle"]).tolist() == [1, 5, 0, 0, 0, 0, 0, 0]
-    assert not vocab.encode([]).any()
-    with pytest.raises(KeyError, match="purple"):
-        vocab.encode(["purple"])
-    with pytest.raises(ValueError, match="longer than"):
-        vocab.encode(["red"] * 9)
-    with pytest.raises(ValueError, match="PAD"):
-        PromptVocab(text_len=8, tokens=("red", PAD_TOKEN))
+def test_encode_prompt_pads_to_text_len_and_rejects_bad_prompts():
+    cond = _conditioner()
+    table = cond.prompt_table.data
+    emb = cond.encode_prompt([["red", "circle"], []]).data
+    assert np.array_equal(emb[0], table[[1, 5, 0, 0, 0, 0, 0, 0]])
+    assert np.array_equal(emb[1], np.broadcast_to(table[0], (8, D)))
+    with pytest.raises(KeyError, match="unknown token 'purple'"):
+        cond.encode_prompt([["purple"]])
+    with pytest.raises(ValueError, match="prompt longer than text_len=8"):
+        cond.encode_prompt([["red"] * 9])
+
+
+def test_every_synthdata_prompt_encodes_to_its_table_rows():
+    # the table's rows are drawn in this order, so the order is part of the seed's output
+    assert TOKENS == ("<pad>", "red", "green", "blue", "yellow", "circle", "square", "triangle")
+    cond = _conditioner()
+    table = cond.prompt_table.data
+    for c, color in enumerate(COLOR_NAMES):
+        for s, shape in enumerate(SHAPES):
+            prompt = make_prompt(SceneSpec(shape, color, (6, 6), 3))
+            ids = [1 + c, 1 + len(COLOR_NAMES) + s] + [0] * (TINY.text_len - 2)
+            assert np.array_equal(cond.encode_prompt([prompt]).data[0], table[ids]), prompt
 
 
 def test_frozen_table_rows_are_orthonormal():
@@ -49,7 +56,7 @@ def test_prompt_embedding_is_constant_table_rows():
     cond = _conditioner()
     emb = cond.encode_prompt([["blue", "square"]])
     assert not emb.requires_grad
-    table = cond.prompt_encoder.table.data
+    table = cond.prompt_table.data
     assert np.array_equal(emb.data[0, :2], table[[3, 6]])
     assert np.array_equal(emb.data[0, 2:], np.broadcast_to(table[0], (6, D)))
 
@@ -69,7 +76,7 @@ def test_fusion_modes_share_the_joint_sequence_shape():
     cond = _conditioner()
     prompts = [["red", "circle"], []]
     layouts = _layouts(2)
-    seq = cond.vocab.text_len + cond.image_tokens
+    seq = cond.text_len + cond.image_tokens
     joint = cond.fuse_joint(prompts, layouts)
     for out in (joint, cond.fuse_text_only(prompts), cond.fuse_image_only(layouts),
                 cond.fuse_null(2)):
@@ -102,7 +109,7 @@ def test_condition_dropout_swaps_in_nulls():
 def test_condition_dropout_rates_match_their_frequencies():
     cond = _conditioner()
     rows = 2000
-    text = Tensor(np.zeros((rows, cond.vocab.text_len, D)))
+    text = Tensor(np.zeros((rows, cond.text_len, D)))
     image = Tensor(np.zeros((rows, cond.image_tokens, D)))
     _, _, (td, idr) = cond.apply_condition_dropout(text, image, Rng(5), 0.1, 0.3)
     for flags, p in ((td, 0.1), (idr, 0.3)):

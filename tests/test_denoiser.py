@@ -5,12 +5,13 @@ from duetdiff.denoiser import Denoiser, DenoiserConfig
 from duetdiff.rng import Rng
 from duetdiff.tensor import Tensor
 
-CONFIG = DenoiserConfig(base_channels=4, attn_resolutions=(6,), temb_dim=16, cond_dim=16, n_heads=2)
-CANVAS = 12
+from tiny import TINY
+
+CANVAS = TINY.canvas
 
 
 def _denoiser() -> Denoiser:
-    den = Denoiser(Rng(0), CONFIG, CANVAS, 3)
+    den = Denoiser(Rng(0), TINY)
     w = den.out_conv.w
     w.data[...] = Rng(1).gaussian(w.shape) * 0.1
     return den
@@ -24,13 +25,8 @@ def _inputs(rows: int):
 
 
 def test_config_channels():
-    assert CONFIG.channels() == (4, 8)
+    assert TINY.denoiser.channels() == (4, 8)
     assert DenoiserConfig(base_channels=8, channel_mult=(1, 2, 4)).channels() == (8, 16, 32)
-
-
-def test_canvas_must_divide_by_the_downsampling_factor():
-    with pytest.raises(ValueError, match="not divisible"):
-        Denoiser(Rng(0), DenoiserConfig(channel_mult=(1, 2, 2)), 10, 3)
 
 
 def test_output_shape_equals_input_shape():

@@ -3,7 +3,6 @@ import pytest
 
 from duetdiff.imageio import (
     ImageFormatError,
-    from_bytes_channel,
     pgm_bytes,
     ppm_bytes,
     read_pgm,
@@ -13,6 +12,7 @@ from duetdiff.imageio import (
     write_ppm,
 )
 from duetdiff.rng import Rng
+from duetdiff.synthdata import to_unit
 
 
 def test_one_pixel_white_p6_layout():
@@ -49,7 +49,7 @@ def test_pgm_round_trip(tmp_path):
 
 def test_byte_value_round_trip():
     raw = np.arange(256, dtype=np.uint8)
-    assert np.array_equal(to_bytes_channel(from_bytes_channel(raw)), raw)
+    assert np.array_equal(to_bytes_channel(to_unit(raw)), raw)
 
 
 def test_reject_wrong_maxval(tmp_path):

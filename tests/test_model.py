@@ -1,10 +1,6 @@
-"""Whole-model tests on a tiny config: the parameter registry, golden
-outputs, gradients against finite differences, and checkpoint loading.
-
-The tiny config keeps the default topology (two U-Net levels of two res
-blocks, attention on the lower level, two fusion layers) at a 12x12 canvas,
-so it registers the same 300 parameter names as the default config.
-"""
+"""Whole-model tests on the tiny config: config checks, the parameter
+registry, golden outputs, gradients against finite differences, and
+checkpoint loading."""
 
 from pathlib import Path
 
@@ -21,13 +17,8 @@ from duetdiff.synthdata import generate_dataset
 from duetdiff.tensor import GradTape, Tensor, mul, sub, tmean, tsum
 
 from fdcheck import max_rel_err, numeric_grad
+from tiny import TINY
 
-TINY = ModelConfig(
-    canvas=12, d_embed=16, fusion_heads=2, fusion_hidden=32,
-    encoder_channels=(4, 8), encoder_out_channels=8,
-    denoiser=DenoiserConfig(base_channels=4, attn_resolutions=(6,), temb_dim=16,
-                            cond_dim=16, n_heads=2),
-)
 GOLDEN_NAMES = Path(__file__).parent / "golden" / "param_names.txt"
 # rates and stream for the dropout in ``dropout_loss``: at these values the
 # 4-row batch has both dropped and kept rows for text and for image
@@ -75,6 +66,46 @@ def _loss_setup(dtype):
 
 
 # ---------------------------------------------------------------------------
+# config
+
+# each config breaks one rule, and the message names the field at fault
+BAD_CONFIGS = [
+    pytest.param({"fusion_heads": 3}, "fusion_heads 3 must divide d_embed 64", id="fusion_heads"),
+    pytest.param({"denoiser": DenoiserConfig(n_heads=3)},
+                 r"denoiser.n_heads 3 must divide the attention channels \[32\]", id="n_heads"),
+    pytest.param({"denoiser": DenoiserConfig(temb_dim=63)},
+                 "denoiser.temb_dim must be even, got 63", id="temb_dim"),
+    pytest.param({"text_len": 0}, "text_len must be at least 1, got 0", id="text_len"),
+    pytest.param({"canvas": 12}, r"denoiser.attn_resolutions \(8,\) must be U-Net resolutions "
+                 r"of canvas 12: \[12, 6\]", id="canvas_misses_attn_resolution"),
+    pytest.param({"denoiser": DenoiserConfig(attn_resolutions=(5,))},
+                 r"denoiser.attn_resolutions \(5,\)", id="attn_resolutions"),
+    pytest.param({"denoiser": DenoiserConfig(cond_dim=32)}, "denoiser.cond_dim 32 != d_embed 64",
+                 id="cond_dim"),
+    pytest.param({"canvas": 10, "encoder_channels": (8,),
+                  "denoiser": DenoiserConfig(channel_mult=(1, 2, 2), attn_resolutions=(10,))},
+                 r"canvas 10 not divisible by the denoiser's downsampling factor 4 "
+                 r"\(denoiser.channel_mult\)", id="denoiser_downsampling"),
+    pytest.param({"canvas": 18, "denoiser": DenoiserConfig(attn_resolutions=(9,))},
+                 r"canvas 18 not divisible by the image encoder's stride 4 \(encoder_channels\)",
+                 id="encoder_stride"),
+]
+
+
+@pytest.mark.parametrize("overrides, message", BAD_CONFIGS)
+def test_a_bad_config_is_rejected_when_built(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        ModelConfig(**overrides)
+
+
+def test_n_heads_must_divide_only_the_channels_that_attend():
+    # channels (6, 12): level 0 does not attend, and the middle block always does
+    ModelConfig(denoiser=DenoiserConfig(base_channels=6, n_heads=4))
+    with pytest.raises(ValueError, match=r"channels \[12\]"):
+        ModelConfig(denoiser=DenoiserConfig(base_channels=6, attn_resolutions=(), n_heads=5))
+
+
+# ---------------------------------------------------------------------------
 # registry
 
 
@@ -115,7 +146,7 @@ def test_tiny_config_registers_the_same_names():
 
 def test_buffers_hold_the_frozen_prompt_table():
     model = tiny_model()
-    assert model.buffers() == {"cond.prompt_encoder.table": model.conditioner.prompt_encoder.table.data}
+    assert model.buffers() == {"cond.prompt_table": model.conditioner.prompt_table.data}
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -141,14 +172,8 @@ def test_the_model_dtype_is_float32_or_float64():
 
 def test_layers_built_alone_are_float64():
     model = DiffusionModel(TINY, rng=Rng(0), dtype=np.float64)
-    den = Denoiser(Rng(0).split("denoiser"), TINY.denoiser, TINY.canvas,
-                   TINY.image_channels)
-    cond = Conditioner(Rng(0).split("conditioner"), model.vocab, canvas=TINY.canvas,
-                       cond_channels=TINY.cond_channels, d_embed=TINY.d_embed,
-                       encoder_channels=TINY.encoder_channels,
-                       encoder_out_channels=TINY.encoder_out_channels,
-                       n_layers=TINY.fusion_layers, n_heads=TINY.fusion_heads,
-                       d_hidden=TINY.fusion_hidden)
+    den = Denoiser(Rng(0).split("denoiser"), TINY)
+    cond = Conditioner(Rng(0).split("conditioner"), TINY)
     leaves = {**named_params(cond, "cond"), **named_params(den, "denoiser")}
     assert len(leaves) == len(model.params()) + len(model.buffers())
     assert all(t.dtype == np.float64 for t in leaves.values())
@@ -371,7 +396,7 @@ def test_load_tensors_casts_to_the_model_dtype():
     assert np.array_equal(w, src.params()["denoiser.out_conv.w"].data.astype(np.float32))
 
 
-@pytest.mark.parametrize("name", ["denoiser.out_conv.b", "cond.prompt_encoder.table"])
+@pytest.mark.parametrize("name", ["denoiser.out_conv.b", "cond.prompt_table"])
 def test_load_tensors_rejects_a_missing_entry(name):
     model = tiny_model()
     tensors = _tensors(model)
@@ -380,7 +405,7 @@ def test_load_tensors_rejects_a_missing_entry(name):
         model.load_tensors(tensors)
 
 
-@pytest.mark.parametrize("name", ["denoiser.out_conv.w", "cond.prompt_encoder.table"])
+@pytest.mark.parametrize("name", ["denoiser.out_conv.w", "cond.prompt_table"])
 def test_load_tensors_rejects_a_mis_shaped_entry(name):
     # a (1, d) prompt table would broadcast over every row of the frozen table
     model = tiny_model()

@@ -136,7 +136,7 @@ def test_timestep_embedding_is_sin_cos_pairs():
     assert np.array_equal(emb[0], [0, 0, 0, 0, 1, 1, 1, 1])
     np.testing.assert_allclose(emb[1, :4] ** 2 + emb[1, 4:] ** 2, 1.0)
     with pytest.raises(ValueError):
-        timestep_embedding(3, 5)
+        timestep_embedding(3, 5, dtype=np.float64)
 
 
 class _Holder:

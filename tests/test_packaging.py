@@ -1,8 +1,10 @@
 """Every declared runtime dependency is installed and imported by the
-library, the library leaves out the imports it has decided against, and
-every public name it defines has a caller or a planned one."""
+library, the library leaves out the imports it has decided against, every
+public name it defines has a caller or a planned one, and every config
+field is read."""
 
 import ast
+import dataclasses
 import importlib.util
 import re
 import subprocess
@@ -119,3 +121,31 @@ def test_every_public_name_has_a_caller_or_a_planned_one():
     new, called = sorted(uncalled - UNCALLED.keys()), sorted(UNCALLED.keys() - uncalled)
     assert not new, f"{new}: no caller in src/duetdiff or perfbench; delete or call them"
     assert not called, f"{called}: now called; take them off UNCALLED"
+
+
+def _attributes_read_outside_post_init() -> set[str]:
+    """Attribute names loaded anywhere in ``src/duetdiff`` except inside a
+    ``__post_init__``, where a config only checks its own fields."""
+    names = set()
+
+    def visit(node):
+        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+            return
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    for path in PACKAGE.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")))
+    return names
+
+
+def test_every_config_field_is_read_by_the_library():
+    from duetdiff.denoiser import DenoiserConfig
+    from duetdiff.model import ModelConfig
+
+    read = _attributes_read_outside_post_init()
+    unread = [f"{cls.__name__}.{f.name}" for cls in (ModelConfig, DenoiserConfig)
+              for f in dataclasses.fields(cls) if f.name not in read]
+    assert not unread, f"{unread}: nothing in src/duetdiff reads them; delete or read them"
