@@ -1,10 +1,11 @@
-"""Noise schedules, the forward corruption map, and reverse-step rules.
+"""Noise schedules, the forward corruption map, the deterministic DDIM
+reverse step, and the SDEdit start of a truncated trajectory.
 
 Step-index contract: a step ``t`` is an int or a per-row int array in
 [1, T], where T is the schedule's ``total_steps``. A reverse step's target
 ``t_prev`` may also be 0, the clean data, and ``alpha_bar(0) == 1``.
 ``NoiseSchedule.check_t`` holds this dtype and range check for every caller.
-A reverse step takes one 0-d step for the whole batch.
+``ddim_step`` takes one 0-d step for the whole batch.
 """
 
 from __future__ import annotations
@@ -22,14 +23,13 @@ from .tensor import ShapeError, Tensor, add, mul, scale, sub
 class NoiseSchedule:
     """Per-step noise variances and the derived signal-retention table.
 
-    betas[t-1] is the variance added at step t; alpha_bars[t-1] is the
+    betas[t-1] is the variance added at step t; ``alpha_bar(t)`` is the
     cumulative product of (1 - beta) up to t. Tables are float64.
     Equality and hashing are by identity; compare ``betas`` with
     ``np.array_equal`` for equal values.
     """
 
     betas: np.ndarray
-    alpha_bars: np.ndarray = field(init=False)
     _alpha_bar_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -40,7 +40,6 @@ class NoiseSchedule:
             raise ValueError("betas must lie strictly inside (0, 1)")
         table = np.concatenate(([1.0], np.cumprod(1.0 - betas)))
         object.__setattr__(self, "betas", betas)
-        object.__setattr__(self, "alpha_bars", table[1:])
         object.__setattr__(self, "_alpha_bar_table", table)
 
     @property
@@ -91,40 +90,17 @@ def forward_diffuse(x0: Tensor, t, eps: Tensor, sched: NoiseSchedule) -> Tensor:
     return add(mul(x0, Tensor(c_signal)), mul(eps, Tensor(c_noise)))
 
 
-def _check_one_step(fn: str, name: str, value) -> None:
-    """A reverse step's index is one int for the whole batch, never per row."""
-    if np.ndim(value):
-        raise ShapeError(f"{fn}: {name} must be a single step (0-d), got shape {np.shape(value)}")
-
-
-def ddpm_step(xt: Tensor, t: int, eps_pred: Tensor, noise: Tensor | None, sched: NoiseSchedule) -> Tensor:
-    """One ancestral reverse step t -> t-1 with fixed variance beta_t.
-
-    The injected noise is suppressed at t == 1 (the final step is the
-    deterministic mean).
-    """
-    _check_one_step("ddpm_step", "t", t)
-    sched.check_t(t)
-    if eps_pred.shape != xt.shape:
-        raise ShapeError("ddpm_step: eps_pred shape mismatch")
-    beta = float(sched.betas[t - 1])
-    abar = sched.alpha_bar(t)
-    mean = scale(sub(xt, scale(eps_pred, beta / math.sqrt(1.0 - abar))), 1.0 / math.sqrt(1.0 - beta))
-    if t == 1 or noise is None:
-        return mean
-    if noise.shape != xt.shape:
-        raise ShapeError("ddpm_step: noise shape mismatch")
-    return add(mean, scale(noise, math.sqrt(beta)))
-
-
 def ddim_step(xt: Tensor, t: int, t_prev: int, eps_pred: Tensor, sched: NoiseSchedule) -> Tensor:
     """Deterministic reverse jump t -> t_prev (eta = 0).
 
     ``alpha_bar`` range-checks both steps, so with ``t_prev < t`` this
     accepts exactly 0 <= t_prev < t <= T.
     """
-    _check_one_step("ddim_step", "t", t)
-    _check_one_step("ddim_step", "t_prev", t_prev)
+    # one step for the whole batch, never one per row
+    for name, value in (("t", t), ("t_prev", t_prev)):
+        if np.ndim(value):
+            raise ShapeError(f"ddim_step: {name} must be a single step (0-d), "
+                             f"got shape {np.shape(value)}")
     if not t_prev < t:
         raise ValueError(f"ddim_step: need t_prev < t, got ({t_prev}, {t})")
     if eps_pred.shape != xt.shape:
@@ -135,10 +111,12 @@ def ddim_step(xt: Tensor, t: int, t_prev: int, eps_pred: Tensor, sched: NoiseSch
     return add(scale(x0_hat, math.sqrt(abar_prev)), scale(eps_pred, math.sqrt(1.0 - abar_prev)))
 
 
-def sdedit_init(cond_image: Tensor, strength: float, step_times: list[int],
+def sdedit_init(source: Tensor, strength: float, step_times: list[int],
                 sched: NoiseSchedule, rng: Rng) -> tuple[Tensor, int]:
-    """Partially noise a condition image to start a truncated trajectory.
+    """Partially noise the source image to start a truncated trajectory.
 
+    ``source`` is the (N, image_channels, H, W) image being translated,
+    not the 1-channel layout silhouette.
     Returns (x_start, start_index): sampling covers only the final
     ``start_index`` entries of the descending ``step_times`` list, and
     start_index = floor(strength * N). strength 0 skips denoising entirely;
@@ -150,7 +128,7 @@ def sdedit_init(cond_image: Tensor, strength: float, step_times: list[int],
     # tiny epsilon guards against float-down (e.g. 0.7 * 50 -> 34.999...)
     start_index = int(math.floor(strength * n + 1e-9))
     if start_index == 0:
-        return cond_image, 0
+        return source, 0
     t_start = step_times[n - start_index]
-    eps = Tensor(rng.gaussian(cond_image.shape, dtype=cond_image.data.dtype))
-    return forward_diffuse(cond_image, t_start, eps, sched), start_index
+    eps = Tensor(rng.gaussian(source.shape, dtype=source.data.dtype))
+    return forward_diffuse(source, t_start, eps, sched), start_index

@@ -62,8 +62,3 @@ def color_adherence(generated: np.ndarray, layout: np.ndarray, target_color: str
     nearest = COLOR_NAMES[int(np.argmin(dists))]
     return nearest == target_color, tuple(float(v) for v in mean_rgb)
 
-
-def pixel_mse(generated: np.ndarray, reference: np.ndarray) -> float:
-    """Mean squared pixel difference; a 1-channel reference broadcasts."""
-    diff = generated - reference
-    return float(np.mean(diff * diff))

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conditioning import Conditioner
+from .conditioning import TOKENS, Conditioner
 from .denoiser import Denoiser, DenoiserConfig
 from .diffusion import NoiseSchedule, linear_schedule
 from .nn import named_params
@@ -77,6 +77,9 @@ class ModelConfig:
             raise ValueError(f"denoiser.temb_dim must be even, got {den.temb_dim}")
         if den.cond_dim != self.d_embed:
             raise ValueError(f"denoiser.cond_dim {den.cond_dim} != d_embed {self.d_embed}")
+        if self.d_embed < len(TOKENS):
+            raise ValueError(f"d_embed {self.d_embed} must be at least the {len(TOKENS)} prompt "
+                             f"tokens {TOKENS}: the frozen prompt table has one orthonormal row each")
         if self.d_embed % self.fusion_heads:
             raise ValueError(f"fusion_heads {self.fusion_heads} must divide d_embed {self.d_embed}")
         if self.text_len < 1:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from duetdiff.diffusion import (
     NoiseSchedule,
     ddim_step,
-    ddpm_step,
     forward_diffuse,
     linear_schedule,
     sdedit_init,
@@ -58,7 +57,7 @@ def test_schedule_equality_is_identity():
 )
 def test_schedule_recurrence_and_monotonicity(total, b0, b1):
     sched = linear_schedule(total, b0, b1)
-    bars = sched.alpha_bars
+    bars = sched.alpha_bar(np.arange(1, total + 1))
     assert np.all(np.diff(bars) < 0) or total == 1
     assert bars[-1] < 1.0
     prev = 1.0
@@ -137,32 +136,6 @@ def test_forward_takes_an_int_or_0d_t_for_any_batch():
             assert np.array_equal(forward_diffuse(x, t, Tensor(np.zeros(shape)), sched).data, expected)
 
 
-def test_ddpm_final_step_is_deterministic():
-    sched = linear_schedule(10, 1e-4, 0.02)
-    xt = Tensor(Rng(1).gaussian((5,)))
-    eps = Tensor(Rng(2).gaussian((5,)))
-    noisy = ddpm_step(xt, 1, eps, Tensor(np.full(5, 100.0)), sched)
-    clean = ddpm_step(xt, 1, eps, None, sched)
-    assert np.array_equal(noisy.data, clean.data)
-
-
-def test_ddpm_one_step_inversion():
-    sched = linear_schedule(1, 0.1, 0.1)
-    rng = Rng(3)
-    x0 = rng.gaussian((6,))
-    eps = rng.gaussian((6,))
-    xt = forward_diffuse(Tensor(x0), 1, Tensor(eps), sched)
-    rec = ddpm_step(xt, 1, Tensor(eps), None, sched)
-    assert np.max(np.abs(rec.data - x0)) <= 1e-5
-
-
-def test_ddpm_tiny_beta_near_identity():
-    sched = NoiseSchedule(np.array([1e-8]))
-    xt = Tensor(Rng(4).gaussian((6,)))
-    out = ddpm_step(xt, 1, Tensor(np.zeros(6)), None, sched)
-    assert np.max(np.abs(out.data - xt.data)) <= 1e-6
-
-
 def test_ddim_t_prev_zero_returns_x0_hat():
     sched = linear_schedule(20, 1e-4, 0.02)
     rng = Rng(7)
@@ -192,19 +165,16 @@ def test_ddim_rejects_non_decreasing_pair():
         ddim_step(x, 5, 9, x, sched)
 
 
-@pytest.mark.parametrize("step, arg, ts", [
-    ("ddim_step", "t", (np.array([5, 6]), 2)),
-    ("ddim_step", "t", (np.array([5]), np.array([2]))),
-    ("ddim_step", "t_prev", (5, np.array([2, 3]))),
-    ("ddpm_step", "t", (np.array([5, 6]),)),
-], ids=["ddim-t", "ddim-1-entry-t", "ddim-t-prev", "ddpm-t"])
-def test_reverse_steps_reject_a_step_that_is_not_0d_by_name(step, arg, ts):
+@pytest.mark.parametrize("arg, ts", [
+    ("t", (np.array([5, 6]), 2)),
+    ("t", (np.array([5]), np.array([2]))),
+    ("t_prev", (5, np.array([2, 3]))),
+], ids=["ddim-t", "ddim-1-entry-t", "ddim-t-prev"])
+def test_reverse_steps_reject_a_step_that_is_not_0d_by_name(arg, ts):
     sched = linear_schedule(20, 1e-4, 0.02)
     x = Tensor(np.zeros((2, 3)))
-    call = (lambda: ddim_step(x, *ts, x, sched)) if step == "ddim_step" else \
-        (lambda: ddpm_step(x, *ts, x, None, sched))
-    with pytest.raises(ShapeError, match=rf"^{step}: {arg} must be a single step \(0-d\)"):
-        call()
+    with pytest.raises(ShapeError, match=rf"^ddim_step: {arg} must be a single step \(0-d\)"):
+        ddim_step(x, *ts, x, sched)
 
 
 def test_reverse_steps_take_a_0d_array_step():
@@ -212,8 +182,6 @@ def test_reverse_steps_take_a_0d_array_step():
     x, eps = Tensor(Rng(9).gaussian((2, 3))), Tensor(Rng(10).gaussian((2, 3)))
     assert np.array_equal(ddim_step(x, np.asarray(15), np.asarray(5), eps, sched).data,
                           ddim_step(x, 15, 5, eps, sched).data)
-    assert np.array_equal(ddpm_step(x, np.asarray(15), eps, None, sched).data,
-                          ddpm_step(x, 15, eps, None, sched).data)
 
 
 def test_ddim_rejects_steps_outside_the_schedule():
@@ -251,54 +219,44 @@ def test_ddim_single_point_oracle_recovers_target():
         assert np.max(np.abs(x - x_star)) <= 1e-4
 
 
-def test_ddpm_expected_path_oracle_recovers_target():
-    sched = linear_schedule(100, 1e-4, 0.02)
-    x_star = Rng(11).gaussian((3, 3))
-    eps_star = _oracle_eps(x_star)
-    x = Rng(12).gaussian((3, 3))
-    for t in range(100, 0, -1):
-        x = ddpm_step(Tensor(x), t, Tensor(eps_star(x, t, sched)), None, sched).data
-    assert np.max(np.abs(x - x_star)) <= 1e-6
-
-
 def test_sdedit_boundaries():
     sched = linear_schedule(1000, 1e-4, 0.02)
     times = _sampler_times(1000, 50)
-    cond = Tensor(Rng(13).gaussian((1, 4, 4)))
-    x, idx = sdedit_init(cond, 0.0, times, sched, Rng(0))
+    source = Tensor(Rng(13).gaussian((1, 4, 4)))
+    x, idx = sdedit_init(source, 0.0, times, sched, Rng(0))
     assert idx == 0
-    assert x is cond
-    x, idx = sdedit_init(cond, 1.0, times, sched, Rng(0))
+    assert x is source
+    x, idx = sdedit_init(source, 1.0, times, sched, Rng(0))
     assert idx == 50
-    expected = forward_diffuse(cond, times[0], Tensor(Rng(0).gaussian(cond.shape)), sched)
+    expected = forward_diffuse(source, times[0], Tensor(Rng(0).gaussian(source.shape)), sched)
     assert np.array_equal(x.data, expected.data)
 
 
 def test_sdedit_index_arithmetic():
     sched = linear_schedule(1000, 1e-4, 0.02)
     times = _sampler_times(1000, 50)
-    cond = Tensor(np.zeros((1, 2, 2)))
-    _, idx = sdedit_init(cond, 0.8, times, sched, Rng(1))
+    source = Tensor(np.zeros((1, 2, 2)))
+    _, idx = sdedit_init(source, 0.8, times, sched, Rng(1))
     assert idx == 40
-    x, _ = sdedit_init(cond, 0.8, times, sched, Rng(1))
+    x, _ = sdedit_init(source, 0.8, times, sched, Rng(1))
     # noised at the 10th entry of the descending time list
-    expected = forward_diffuse(cond, times[10], Tensor(Rng(1).gaussian(cond.shape)), sched)
+    expected = forward_diffuse(source, times[10], Tensor(Rng(1).gaussian(source.shape)), sched)
     assert np.array_equal(x.data, expected.data)
 
 
 def test_sdedit_float_floor_guard():
     sched = linear_schedule(1000, 1e-4, 0.02)
     times = _sampler_times(1000, 50)
-    cond = Tensor(np.zeros((1, 2, 2)))
-    _, idx = sdedit_init(cond, 0.7, times, sched, Rng(1))
+    source = Tensor(np.zeros((1, 2, 2)))
+    _, idx = sdedit_init(source, 0.7, times, sched, Rng(1))
     assert idx == 35
 
 
 def test_sdedit_rejects_bad_strength():
     sched = linear_schedule(10, 1e-4, 0.02)
     times = _sampler_times(10, 5)
-    cond = Tensor(np.zeros(2))
+    source = Tensor(np.zeros(2))
     with pytest.raises(ValueError):
-        sdedit_init(cond, -0.1, times, sched, Rng(0))
+        sdedit_init(source, -0.1, times, sched, Rng(0))
     with pytest.raises(ValueError):
-        sdedit_init(cond, 1.5, times, sched, Rng(0))
+        sdedit_init(source, 1.5, times, sched, Rng(0))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from duetdiff.metrics import color_adherence, foreground_mask, layout_iou, pixel_mse
+from duetdiff.metrics import color_adherence, foreground_mask, layout_iou
 from duetdiff.synthdata import PALETTE, SceneSpec, render_layout, render_target, to_unit
 
 
@@ -93,13 +93,6 @@ def test_color_adherence_empty_mask():
     layout = np.full((1, 4, 4), -1.0)
     ok, mean_rgb = color_adherence(np.zeros((3, 4, 4)), layout, "red")
     assert not ok and mean_rgb is None
-
-
-def test_pixel_mse_broadcasts_single_channel():
-    gen = np.zeros((3, 2, 2))
-    cond = np.ones((1, 2, 2))
-    assert pixel_mse(gen, cond) == pytest.approx(1.0)
-    assert pixel_mse(gen, gen) == 0.0
 
 
 def test_foreground_mask_threshold():

@@ -9,7 +9,7 @@ import pytest
 
 from duetdiff.conditioning import Conditioner
 from duetdiff.denoiser import Denoiser, DenoiserConfig
-from duetdiff.diffusion import ddpm_step, forward_diffuse
+from duetdiff.diffusion import forward_diffuse
 from duetdiff.model import DiffusionModel, ModelConfig
 from duetdiff.nn import named_params, trunc_normal
 from duetdiff.rng import Rng
@@ -76,6 +76,9 @@ BAD_CONFIGS = [
     pytest.param({"denoiser": DenoiserConfig(temb_dim=63)},
                  "denoiser.temb_dim must be even, got 63", id="temb_dim"),
     pytest.param({"text_len": 0}, "text_len must be at least 1, got 0", id="text_len"),
+    pytest.param({"d_embed": 4, "fusion_heads": 2, "denoiser": DenoiserConfig(cond_dim=4)},
+                 r"d_embed 4 must be at least the 8 prompt tokens \('<pad>', 'red', 'green', "
+                 r"'blue', 'yellow', 'circle', 'square', 'triangle'\)", id="d_embed_below_tokens"),
     pytest.param({"canvas": 12}, r"denoiser.attn_resolutions \(8,\) must be U-Net resolutions "
                  r"of canvas 12: \[12, 6\]", id="canvas_misses_attn_resolution"),
     pytest.param({"denoiser": DenoiserConfig(attn_resolutions=(5,))},
@@ -275,7 +278,6 @@ def test_every_step_index_is_checked_by_the_schedule(bad):
     cond = model.conditioner.fuse_joint(prompts, layouts)
     calls = {
         "forward_diffuse": lambda t: forward_diffuse(x_t, t, x_t, sched),
-        "ddpm_step": lambda t: ddpm_step(x_t, t, x_t, None, sched),
         "predict_eps (int t)": lambda t: model.predict_eps(x_t, t, cond),
         "predict_eps (per-row t)": lambda t: model.predict_eps(x_t, np.array([1, t]), cond),
     }

@@ -9,6 +9,7 @@ import importlib.util
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -61,59 +62,65 @@ def test_no_module_imports_numpy_random():
 # listed name that gains a caller fails the guard until it is taken off.
 UNCALLED = {
     "Conditioner.fuse_text_only": "item 2: the per-step condition choice",
-    "ddpm_step": "item 2: the library sampler",
     "Adam.load_state": "item 2: resuming from a checkpoint",
     "sdedit_init": "item 1: the SDEdit baseline",
-    "write_ppm": "item 1: the eval script's image grids",
-    "write_pgm": "item 1: the eval script's image grids",
-    "read_ppm": "item 1: the eval script's image grids",
-    "read_pgm": "item 1: the eval script's image grids",
     "layout_iou": "item 1: the eval script",
     "color_adherence": "item 1: the eval script",
-    "pixel_mse": "item 1: the eval script",
+    "Sample.scene": "item 1: translation re-renders source scene A",
 }
 
 
-def _references(node) -> list[str]:
-    """Every name read, attribute read or name imported under ``node``."""
+def _references(node, members: bool = False) -> list[str]:
+    """Every attribute read under ``node`` and, unless ``members``, every
+    name read or imported: a method or field is only used as ``obj.name``,
+    so a local variable of the same name does not count for it."""
     out = []
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-            out.append(sub.id)
-        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
             out.append(sub.attr)
+        elif members:
+            continue
+        elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.append(sub.id)
         elif isinstance(sub, (ast.Import, ast.ImportFrom)):
             out.extend(alias.name.split(".")[-1] for alias in sub.names)
     return out
 
 
 def _uncalled() -> set[str]:
-    """Public top-level names and public methods of the library that no code
-    in ``src/duetdiff`` or ``perfbench/`` (its tests left out) refers to.
+    """Public top-level names, public methods and public annotated class
+    fields of the library that no code in ``src/duetdiff`` or ``perfbench/``
+    (its tests left out) refers to.
 
     A reference inside the definition's own body does not count."""
     sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
-    counts: dict[str, int] = {}
+    counts = {members: Counter() for members in (False, True)}
     for tree in trees.values():
-        for name in _references(tree):
-            counts[name] = counts.get(name, 0) + 1
-    defined = []  # (qualified name, bare name, definition node)
+        for members, counter in counts.items():
+            counter.update(_references(tree, members))
+    defined = []  # (qualified name, bare name, definition node, is a class member)
     for path, tree in trees.items():
         if path.parent != PACKAGE:
             continue
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((node.name, node.name, node))
+                defined.append((node.name, node.name, node, False))
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined.extend((t.id, t.id, node) for t in targets if isinstance(t, ast.Name))
+                defined.extend((t.id, t.id, node, False) for t in targets if isinstance(t, ast.Name))
             if isinstance(node, ast.ClassDef):
-                defined.extend((f"{node.name}.{item.name}", item.name, item) for item in node.body
-                               if isinstance(item, ast.FunctionDef))
-    return {qualified for qualified, bare, node in defined
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        name = item.name
+                    elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        name = item.target.id
+                    else:
+                        continue
+                    defined.append((f"{node.name}.{name}", name, item, True))
+    return {qualified for qualified, bare, node, members in defined
             if not bare.startswith("_")
-            and counts.get(bare, 0) == _references(node).count(bare)}
+            and counts[members][bare] == _references(node, members).count(bare)}
 
 
 def test_every_public_name_has_a_caller_or_a_planned_one():
