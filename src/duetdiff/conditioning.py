@@ -47,8 +47,7 @@ def frozen_orthogonal_table(rng: Rng, vocab_size: int, d_embed: int) -> np.ndarr
 class ImageEncoder:
     """Conv stack: stride-2 residual blocks, an output conv, a linear head.
 
-    The final grid flattens to image tokens, so token count is fully
-    determined by the input size and the number of blocks.
+    The cells of the final grid become the image tokens, one per cell.
     """
 
     def __init__(self, rng: Rng, in_channels: int, channels: tuple[int, ...], out_channels: int,
@@ -66,29 +65,16 @@ class ImageEncoder:
         self.out_layer = Conv2dLayer(rng.split("out_layer"), c_prev, out_channels, 3,
                                      stride=1, padding=1)
         self.proj = Linear(rng.split("proj"), out_channels, d_embed)
-        self.out_channels = out_channels
-
-    def token_count(self, height: int, width: int) -> int:
-        factor = 2 ** len(self.blocks)
-        if height % factor or width % factor:
-            raise ValueError(
-                f"input {height}x{width} not divisible by downsampling factor {factor}"
-            )
-        return (height // factor) * (width // factor)
 
     def __call__(self, x: Tensor) -> Tensor:
         """(B, C, H, W) -> (B, tokens, d) spatially ordered row-major."""
-        if x.ndim != 4:
-            raise ValueError("image encoder expects (N, C, H, W)")
-        n, _, h, w = x.shape
-        tokens = self.token_count(h, w)
         x = transpose(x, (0, 2, 3, 1))
         for blk in self.blocks:
             hidden = blk["conv2"](silu(blk["conv1"](x)))
             x = silu(add(hidden, blk["skip"](x)))
         x = self.out_layer(x)
-        x = reshape(x, (n, tokens, self.out_channels))
-        return self.proj(x)
+        n, h, w, c = x.shape
+        return self.proj(reshape(x, (n, h * w, c)))
 
 
 class FusionTransformer:
@@ -120,17 +106,19 @@ class Conditioner:
 
     def __init__(self, rng: Rng, config: ModelConfig):
         self.text_len = config.text_len
+        self.image_shape = (config.cond_channels, config.canvas, config.canvas)
         self.prompt_table = Tensor(frozen_orthogonal_table(rng.split("prompt"), len(TOKENS),
                                                            config.d_embed))
         self.image_encoder = ImageEncoder(rng.split("image"), config.cond_channels,
                                           config.encoder_channels, config.encoder_out_channels,
                                           config.d_embed)
-        self.image_tokens = self.image_encoder.token_count(config.canvas, config.canvas)
-        self.fusion = FusionTransformer(rng.split("fusion"), self.text_len + self.image_tokens,
+        # one token per cell of the encoder's last grid; each block halves the canvas
+        image_tokens = (config.canvas // 2 ** len(config.encoder_channels)) ** 2
+        self.fusion = FusionTransformer(rng.split("fusion"), self.text_len + image_tokens,
                                         config.d_embed, config.fusion_layers,
                                         config.fusion_heads, config.fusion_hidden)
         self.null_image = Tensor(
-            trunc_normal(rng.split("null_image"), (self.image_tokens, config.d_embed)),
+            trunc_normal(rng.split("null_image"), (image_tokens, config.d_embed)),
             requires_grad=True,
         )
 
@@ -153,6 +141,10 @@ class Conditioner:
         return self.encode_prompt([[]] * batch)
 
     def encode_image(self, images: Tensor) -> Tensor:
+        """(B, cond_channels, canvas, canvas) silhouettes -> (B, image_tokens, d)."""
+        if images.shape[1:] != self.image_shape:
+            c, hw, _ = self.image_shape
+            raise ValueError(f"encode_image: images shape {images.shape} != (N, {c}, {hw}, {hw})")
         if images.dtype != self.null_image.dtype:
             raise TypeError(
                 f"encode_image: images dtype {images.dtype} != model dtype {self.null_image.dtype}"

@@ -98,22 +98,15 @@ class Denoiser:
         self.in_conv = Conv2dLayer(rng.split("in_conv"), config.image_channels, chans[0], 3,
                                    padding=1)
 
+        attends = [config.canvas // 2**lvl in den.attn_resolutions for lvl in range(levels)]
+
         self.down = []
-        res = config.canvas
         for lvl, c in enumerate(chans):
             r = rng.split(f"down{lvl}")
-            blocks = []
-            for b in range(den.res_blocks):
-                entry = {"res": ResBlock(r.split(f"res{b}"), c, c, den.temb_dim)}
-                if res in den.attn_resolutions:
-                    entry["attn"] = SpatialAttnBlock(r.split(f"attn{b}"), c, den.cond_dim,
-                                                     den.n_heads)
-                blocks.append(entry)
             down_conv = None
             if lvl + 1 < levels:
                 down_conv = Conv2dLayer(r.split("down"), c, chans[lvl + 1], 4, stride=2, padding=1)
-                res //= 2
-            self.down.append({"blocks": blocks, "down": down_conv})
+            self.down.append({"blocks": self._blocks(r, c, c, attends[lvl]), "down": down_conv})
 
         r = rng.split("middle")
         c_mid = chans[-1]
@@ -125,23 +118,27 @@ class Denoiser:
         for lvl in reversed(range(levels)):
             r = rng.split(f"up{lvl}")
             c = chans[lvl]
-            blocks = []
-            for b in range(den.res_blocks):
-                entry = {"res": ResBlock(r.split(f"res{b}"), 2 * c if b == 0 else c, c,
-                                         den.temb_dim)}
-                if res in den.attn_resolutions:
-                    entry["attn"] = SpatialAttnBlock(r.split(f"attn{b}"), c, den.cond_dim,
-                                                     den.n_heads)
-                blocks.append(entry)
             up_conv = None
             if lvl:
                 up_conv = Conv2dLayer(r.split("up"), c, chans[lvl - 1], 3, padding=1)
-                res *= 2
-            self.up.append({"blocks": blocks, "up": up_conv})
+            # the first block also takes the skip from the down half
+            self.up.append({"blocks": self._blocks(r, 2 * c, c, attends[lvl]), "up": up_conv})
 
         self.out_norm = LayerNormAffine(chans[0])
         self.out_conv = Conv2dLayer(rng.split("out_conv"), chans[0], config.image_channels, 3,
                                     padding=1, zero_init=True)
+
+    def _blocks(self, rng: Rng, c_in: int, c: int, attends: bool) -> list[dict]:
+        """A level's entries {"res", and "attn" if it attends}; the first takes ``c_in``."""
+        den = self.config
+        blocks = []
+        for b in range(den.res_blocks):
+            entry = {"res": ResBlock(rng.split(f"res{b}"), c if b else c_in, c, den.temb_dim)}
+            if attends:
+                entry["attn"] = SpatialAttnBlock(rng.split(f"attn{b}"), c, den.cond_dim,
+                                                 den.n_heads)
+            blocks.append(entry)
+        return blocks
 
     def time_features(self, t) -> Tensor:
         """Activated features silu(time_fc2(silu(time_fc1(emb)))) for every ResBlock."""
@@ -161,11 +158,8 @@ class Denoiser:
 
         h = self.in_conv(transpose(x, (0, 2, 3, 1)))
         skips = []
-        for lvl, stage in enumerate(self.down):
-            for entry in stage["blocks"]:
-                h = entry["res"](h, temb)
-                if "attn" in entry:
-                    h = entry["attn"](h, cond)
+        for stage in self.down:
+            h = _run_blocks(stage["blocks"], h, temb, cond)
             skips.append(h)
             if stage["down"] is not None:
                 h = stage["down"](h)
@@ -175,12 +169,16 @@ class Denoiser:
         h = self.mid_res2(h, temb)
 
         for stage in self.up:
-            h = concat([h, skips.pop()], axis=-1)
-            for b, entry in enumerate(stage["blocks"]):
-                h = entry["res"](h, temb)
-                if "attn" in entry:
-                    h = entry["attn"](h, cond)
+            h = _run_blocks(stage["blocks"], concat([h, skips.pop()], axis=-1), temb, cond)
             if stage["up"] is not None:
                 h = stage["up"](upsample2x(h))
 
         return transpose(self.out_conv(silu(self.out_norm(h))), (0, 3, 1, 2))
+
+
+def _run_blocks(blocks: list[dict], h: Tensor, temb: Tensor, cond: Tensor) -> Tensor:
+    for entry in blocks:
+        h = entry["res"](h, temb)
+        if "attn" in entry:
+            h = entry["attn"](h, cond)
+    return h

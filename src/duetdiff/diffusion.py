@@ -1,5 +1,9 @@
-"""Noise schedules, the forward corruption map, the deterministic DDIM
+"""The noise schedule, the forward corruption map, the deterministic DDIM
 reverse step, and the SDEdit start of a truncated trajectory.
+
+The schedule is a function of the ``ModelConfig``: ``NoiseSchedule(config)``
+builds DDPM's linear betas (Ho et al., arXiv 2006.11239) from its
+``total_steps``, ``beta_start`` and ``beta_end``, which the config checks.
 
 Step-index contract: a step ``t`` is an int or a per-row int array in
 [1, T], where T is the schedule's ``total_steps``. A reverse step's target
@@ -11,36 +15,30 @@ Step-index contract: a step ``t`` is an int or a per-row int array in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .rng import Rng
 from .tensor import ShapeError, Tensor, add, mul, scale, sub
 
+if TYPE_CHECKING:
+    from .model import ModelConfig
 
-@dataclass(frozen=True, eq=False)
+
 class NoiseSchedule:
-    """Per-step noise variances and the derived signal-retention table.
+    """The DDPM linear schedule of a ``ModelConfig`` and its retention table.
 
-    betas[t-1] is the variance added at step t; ``alpha_bar(t)`` is the
-    cumulative product of (1 - beta) up to t. Tables are float64.
-    Equality and hashing are by identity; compare ``betas`` with
-    ``np.array_equal`` for equal values.
+    betas[t-1] is the variance added at step t, linearly interpolated from
+    ``beta_start`` to ``beta_end`` inclusive over ``total_steps`` steps;
+    ``alpha_bar(t)`` is the cumulative product of (1 - beta) up to t. Tables
+    are float64. ``ModelConfig`` checks the three fields when it is built.
     """
 
-    betas: np.ndarray
-    _alpha_bar_table: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        betas = np.asarray(self.betas, dtype=np.float64)
-        if betas.ndim != 1 or betas.size < 1:
-            raise ValueError("betas must be a non-empty 1-D array")
-        if np.any(betas <= 0.0) or np.any(betas >= 1.0):
-            raise ValueError("betas must lie strictly inside (0, 1)")
-        table = np.concatenate(([1.0], np.cumprod(1.0 - betas)))
-        object.__setattr__(self, "betas", betas)
-        object.__setattr__(self, "_alpha_bar_table", table)
+    def __init__(self, config: ModelConfig):
+        self.betas = np.linspace(config.beta_start, config.beta_end, config.total_steps,
+                                 dtype=np.float64)
+        self._alpha_bar_table = np.concatenate(([1.0], np.cumprod(1.0 - self.betas)))
 
     @property
     def total_steps(self) -> int:
@@ -59,15 +57,6 @@ class NoiseSchedule:
         """Cumulative retention at step t, with alpha_bar(0) == 1."""
         out = self._alpha_bar_table[self.check_t(t, lo=0)]
         return out if isinstance(out, np.ndarray) else float(out)
-
-
-def linear_schedule(total_steps: int, beta_start: float, beta_end: float) -> NoiseSchedule:
-    """Betas linearly interpolated between the endpoints, inclusive."""
-    if total_steps < 1:
-        raise ValueError("total_steps must be >= 1")
-    if not (0.0 < beta_start <= beta_end < 1.0):
-        raise ValueError("need 0 < beta_start <= beta_end < 1")
-    return NoiseSchedule(np.linspace(beta_start, beta_end, total_steps, dtype=np.float64))
 
 
 def forward_diffuse(x0: Tensor, t, eps: Tensor, sched: NoiseSchedule) -> Tensor:

@@ -15,20 +15,24 @@ its ``dtype``. The layers read any run-time dtype from those tensors, and
 ``predict_eps`` and ``Conditioner.encode_image`` reject input of another
 dtype by name.
 
-``ModelConfig`` holds every size and rejects a bad combination when it is
-built. ``Conditioner`` and ``Denoiser`` take the config and read the sizes
-they use from it.
+``ModelConfig`` holds every size, the noise schedule's included, and
+rejects a bad one when it is built: every size is at least 1, the betas lie
+in (0, 1) and do not fall, and the sizes fit together. ``Conditioner``,
+``Denoiser`` and ``NoiseSchedule`` take the config and read the sizes they
+use from it, and each derived size (the image-token count, the U-Net levels
+that attend, the betas) is worked out once, where it is used. So the config
+alone rebuilds the model's shapes and its schedule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .conditioning import TOKENS, Conditioner
 from .denoiser import Denoiser, DenoiserConfig
-from .diffusion import NoiseSchedule, linear_schedule
+from .diffusion import NoiseSchedule
 from .nn import named_params
 from .rng import Rng
 from .tensor import Tensor
@@ -54,6 +58,18 @@ class ModelConfig:
     def __post_init__(self):
         """Reject sizes that would build a model that fails later or drops layers."""
         den = self.denoiser
+        if not 0.0 < self.beta_start <= self.beta_end < 1.0:
+            raise ValueError(f"need 0 < beta_start <= beta_end < 1, got beta_start "
+                             f"{self.beta_start} and beta_end {self.beta_end}")
+        # every size, and every entry of a tuple of sizes, is at least 1
+        for cfg, prefix in ((self, ""), (den, "denoiser.")):
+            for f in fields(cfg):
+                value = getattr(cfg, f.name)
+                entries = value if isinstance(value, tuple) else (value,)
+                if any(isinstance(v, int) and v < 1 for v in entries):
+                    raise ValueError(f"{prefix}{f.name} must be at least 1, got {value}")
+        if not den.channel_mult:
+            raise ValueError("denoiser.channel_mult must name at least one U-Net level")
         chans = den.channels()
         factor = 2 ** (len(chans) - 1)
         if self.canvas % factor:
@@ -82,8 +98,6 @@ class ModelConfig:
                              f"tokens {TOKENS}: the frozen prompt table has one orthonormal row each")
         if self.d_embed % self.fusion_heads:
             raise ValueError(f"fusion_heads {self.fusion_heads} must divide d_embed {self.d_embed}")
-        if self.text_len < 1:
-            raise ValueError(f"text_len must be at least 1, got {self.text_len}")
 
 
 class DiffusionModel:
@@ -94,9 +108,7 @@ class DiffusionModel:
         self.dtype = np.dtype(dtype)
         if self.dtype not in (np.float32, np.float64):
             raise ValueError(f"model dtype must be float32 or float64, got {self.dtype}")
-        self.schedule: NoiseSchedule = linear_schedule(
-            config.total_steps, config.beta_start, config.beta_end
-        )
+        self.schedule = NoiseSchedule(config)
         rng = rng or Rng(0)
         self.conditioner = Conditioner(rng.split("conditioner"), config)
         self.denoiser = Denoiser(rng.split("denoiser"), config)

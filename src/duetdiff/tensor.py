@@ -177,13 +177,6 @@ def _check_dtypes(name: str, a: Tensor, b: Tensor) -> None:
         raise TypeError(f"{name}: mixed dtypes {a.data.dtype} and {b.data.dtype}")
 
 
-def _check_operands(name: str, a: Tensor, b: Tensor) -> None:
-    for t in (a, b):
-        if not isinstance(t, Tensor):
-            raise TypeError(f"{name}: operands must be Tensors, got {type(t).__name__}")
-    _check_dtypes(name, a, b)
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a broadcast gradient back down to the operand's shape."""
     if g.shape == shape:
@@ -234,52 +227,38 @@ def _softmax_rows(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 # elementwise suite
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_operands("add", a, b)
+def _elementwise(name: str, fn, a: Tensor, b: Tensor, grad_a, grad_b) -> Tensor:
+    """``fn`` of two broadcasting Tensors; ``grad_a(g)``/``grad_b(g)`` give each
+    operand's gradient at the output shape, summed back to the operand's shape."""
+    for t in (a, b):
+        if not isinstance(t, Tensor):
+            raise TypeError(f"{name}: operands must be Tensors, got {type(t).__name__}")
+    _check_dtypes(name, a, b)
     try:
-        out = a.data + b.data
+        out = fn(a.data, b.data)
     except ValueError as exc:
-        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}") from exc
+        raise ShapeError(f"{name}: incompatible shapes {a.shape} and {b.shape}") from exc
 
     def vjp(g, live):
         return (
-            _unbroadcast(g, a.shape) if live[0] else None,
-            _unbroadcast(g, b.shape) if live[1] else None,
+            _unbroadcast(grad_a(g), a.shape) if live[0] else None,
+            _unbroadcast(grad_b(g), b.shape) if live[1] else None,
         )
 
-    return _record("add", out, (a, b), vjp)
+    return _record(name, out, (a, b), vjp)
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    return _elementwise("add", np.add, a, b, lambda g: g, lambda g: g)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_operands("sub", a, b)
-    try:
-        out = a.data - b.data
-    except ValueError as exc:
-        raise ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}") from exc
-
-    def vjp(g, live):
-        return (
-            _unbroadcast(g, a.shape) if live[0] else None,
-            -_unbroadcast(g, b.shape) if live[1] else None,
-        )
-
-    return _record("sub", out, (a, b), vjp)
+    # negation commutes with the sum in _unbroadcast, bit for bit
+    return _elementwise("sub", np.subtract, a, b, lambda g: g, np.negative)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_operands("mul", a, b)
-    try:
-        out = a.data * b.data
-    except ValueError as exc:
-        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}") from exc
-
-    def vjp(g, live):
-        return (
-            _unbroadcast(g * b.data, a.shape) if live[0] else None,
-            _unbroadcast(g * a.data, b.shape) if live[1] else None,
-        )
-
-    return _record("mul", out, (a, b), vjp)
+    return _elementwise("mul", np.multiply, a, b, lambda g: g * b.data, lambda g: g * a.data)
 
 
 def scale(x: Tensor, s: float) -> Tensor:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -61,22 +63,27 @@ def test_prompt_embedding_is_constant_table_rows():
     assert np.array_equal(emb.data[0, 2:], np.broadcast_to(table[0], (6, D)))
 
 
-def test_image_encoder_tokens_and_shape():
+def test_image_encoder_gives_one_token_per_cell_of_its_last_grid():
     enc = ImageEncoder(Rng(3), 1, (4, 8), 8, D)
-    assert enc.token_count(CANVAS, CANVAS) == 9
-    with pytest.raises(ValueError, match="not divisible"):
-        enc.token_count(10, 10)
-    with pytest.raises(ValueError, match="expects"):
-        enc(Tensor(np.zeros((1, CANVAS, CANVAS))))
-    out = enc(_layouts(2))
-    assert out.shape == (2, 9, D)
+    assert enc(_layouts(2)).shape == (2, 9, D)
+    assert _conditioner().null_image.shape == (9, D)
+
+
+@pytest.mark.parametrize("shape", [(1, CANVAS, CANVAS), (1, 1, 10, 10), (1, 1, 8, 8),
+                                   (1, 3, CANVAS, CANVAS)],
+                         ids=["rank-3", "10x10", "8x8", "3-channels"])
+def test_encode_image_rejects_another_shape_by_name(shape):
+    # 8x8 halves evenly too, but the encoder's last grid is then 2x2: 4 tokens, not 9
+    with pytest.raises(ValueError, match=re.escape(
+            f"encode_image: images shape {shape} != (N, 1, {CANVAS}, {CANVAS})")):
+        _conditioner().encode_image(Tensor(np.zeros(shape)))
 
 
 def test_fusion_modes_share_the_joint_sequence_shape():
     cond = _conditioner()
     prompts = [["red", "circle"], []]
     layouts = _layouts(2)
-    seq = cond.text_len + cond.image_tokens
+    seq = cond.text_len + cond.null_image.shape[0]
     joint = cond.fuse_joint(prompts, layouts)
     for out in (joint, cond.fuse_text_only(prompts), cond.fuse_image_only(layouts),
                 cond.fuse_null(2)):
@@ -88,7 +95,7 @@ def test_fusion_modes_share_the_joint_sequence_shape():
         cond.fuse_null(2).data,
         cond.fuse(cond.null_text(2), cond.null_image_batch(2)).data)
     with pytest.raises(ValueError, match="widths differ"):
-        cond.fuse(cond.null_text(2), Tensor(np.zeros((2, cond.image_tokens, D + 1))))
+        cond.fuse(cond.null_text(2), Tensor(np.zeros((2, cond.null_image.shape[0], D + 1))))
 
 
 def test_condition_dropout_swaps_in_nulls():
@@ -110,7 +117,7 @@ def test_condition_dropout_rates_match_their_frequencies():
     cond = _conditioner()
     rows = 2000
     text = Tensor(np.zeros((rows, cond.text_len, D)))
-    image = Tensor(np.zeros((rows, cond.image_tokens, D)))
+    image = Tensor(np.zeros((rows, cond.null_image.shape[0], D)))
     _, _, (td, idr) = cond.apply_condition_dropout(text, image, Rng(5), 0.1, 0.3)
     for flags, p in ((td, 0.1), (idr, 0.3)):
         assert abs(flags.mean() - p) <= 4 * np.sqrt(p * (1 - p) / rows)

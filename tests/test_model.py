@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from duetdiff.conditioning import Conditioner
 from duetdiff.denoiser import Denoiser, DenoiserConfig
@@ -26,9 +28,9 @@ DROP_RATE = 0.5
 DROP_SEED = 5
 
 
-def tiny_model(dtype=np.float64, seed=0) -> DiffusionModel:
+def tiny_model(dtype=np.float64, seed=0, config=TINY) -> DiffusionModel:
     """Tiny model with a seeded non-zero ``out_conv``, so eps is not 0."""
-    model = DiffusionModel(TINY, rng=Rng(seed), dtype=dtype)
+    model = DiffusionModel(config, rng=Rng(seed), dtype=dtype)
     w = model.denoiser.out_conv.w
     kh, kw, c_in, c_out = w.shape
     oihw = trunc_normal(Rng(seed).split("out_conv"), (c_out, c_in, kh, kw), dtype=dtype)
@@ -92,6 +94,28 @@ BAD_CONFIGS = [
     pytest.param({"canvas": 18, "denoiser": DenoiserConfig(attn_resolutions=(9,))},
                  r"canvas 18 not divisible by the image encoder's stride 4 \(encoder_channels\)",
                  id="encoder_stride"),
+    pytest.param({"image_channels": 0}, "image_channels must be at least 1, got 0",
+                 id="image_channels"),
+    pytest.param({"cond_channels": 0}, "cond_channels must be at least 1, got 0",
+                 id="cond_channels"),
+    pytest.param({"denoiser": DenoiserConfig(res_blocks=0)},
+                 "denoiser.res_blocks must be at least 1, got 0", id="res_blocks"),
+    pytest.param({"denoiser": DenoiserConfig(base_channels=0)},
+                 "denoiser.base_channels must be at least 1, got 0", id="base_channels"),
+    pytest.param({"encoder_channels": (16, 0)}, r"encoder_channels must be at least 1, got \(16, 0\)",
+                 id="encoder_channels"),
+    pytest.param({"denoiser": DenoiserConfig(channel_mult=(), attn_resolutions=())},
+                 "denoiser.channel_mult must name at least one U-Net level", id="no_levels"),
+    pytest.param({"total_steps": 0}, "total_steps must be at least 1, got 0", id="total_steps"),
+    pytest.param({"beta_start": 0.0},
+                 "need 0 < beta_start <= beta_end < 1, got beta_start 0.0 and beta_end 0.02",
+                 id="beta_start"),
+    pytest.param({"beta_start": 0.5, "beta_end": 0.2},
+                 "need 0 < beta_start <= beta_end < 1, got beta_start 0.5 and beta_end 0.2",
+                 id="betas_decrease"),
+    pytest.param({"beta_end": 1.0},
+                 "need 0 < beta_start <= beta_end < 1, got beta_start 0.0001 and beta_end 1.0",
+                 id="beta_end"),
 ]
 
 
@@ -99,6 +123,52 @@ BAD_CONFIGS = [
 def test_a_bad_config_is_rejected_when_built(overrides, message):
     with pytest.raises(ValueError, match=message):
         ModelConfig(**overrides)
+
+
+# the sizes ``small_configs`` draws, each from 1 to its largest value
+SMALL_SIZES = {"image_channels": 3, "cond_channels": 2, "text_len": 2, "fusion_layers": 2,
+               "fusion_heads": 2, "fusion_hidden": 8, "encoder_out_channels": 4, "total_steps": 3}
+SMALL_DENOISER_SIZES = {"base_channels": 4, "res_blocks": 2, "n_heads": 2}
+
+
+@st.composite
+def small_configs(draw) -> tuple[dict, dict]:
+    """``ModelConfig`` and ``DenoiserConfig`` overrides for a small model; in
+    half the draws one size, or one entry of a tuple, is 0."""
+    canvas, levels = draw(st.sampled_from([4, 8])), draw(st.integers(1, 2))
+    top = {name: draw(st.integers(1, hi)) for name, hi in SMALL_SIZES.items()}
+    den = {name: draw(st.integers(1, hi)) for name, hi in SMALL_DENOISER_SIZES.items()}
+    top.update(canvas=canvas, encoder_channels=tuple(draw(st.lists(st.integers(1, 4), max_size=2))))
+    den.update(temb_dim=2 * draw(st.integers(1, 2)),
+               channel_mult=tuple(draw(st.lists(st.integers(1, 2), min_size=levels,
+                                                max_size=levels))),
+               attn_resolutions=tuple(canvas // 2**lvl for lvl in range(levels)
+                                      if draw(st.booleans())))
+    zero = draw(st.one_of(st.none(), st.sampled_from([(top, name) for name in top]
+                                                     + [(den, name) for name in den])))
+    if zero is not None:
+        sizes, name = zero
+        sizes[name] = (0,) + sizes[name][1:] if isinstance(sizes[name], tuple) else 0
+    return top, den
+
+
+@settings(max_examples=40, deadline=None)
+@example(({"canvas": 4, "encoder_channels": (2,)},
+          {"base_channels": 2, "res_blocks": 0, "attn_resolutions": (), "n_heads": 1}))
+@given(small_configs())
+def test_every_config_that_builds_also_runs(overrides):
+    top, den = overrides
+    try:
+        config = ModelConfig(d_embed=8, **top, denoiser=DenoiserConfig(cond_dim=8, **den))
+    except ValueError:
+        return
+    model = tiny_model(config=config)
+    hw = config.canvas
+    layouts = Tensor(np.ones((1, config.cond_channels, hw, hw)))
+    x_t = Tensor(Rng(1).gaussian((1, config.image_channels, hw, hw)))
+    cond = model.conditioner.fuse_joint([["red"]], layouts)
+    eps = model.predict_eps(x_t, config.total_steps, cond).data
+    assert eps.shape == (1, config.image_channels, hw, hw) and np.all(np.isfinite(eps))
 
 
 def test_n_heads_must_divide_only_the_channels_that_attend():
