@@ -160,8 +160,6 @@ class Conditioner:
 
     def fuse(self, text_emb: Tensor, image_emb: Tensor) -> Tensor:
         """(B, text_len, d) + (B, image_tokens, d) -> (B, text_len+image_tokens, d)."""
-        if text_emb.shape[-1] != image_emb.shape[-1]:
-            raise ValueError("text and image embedding widths differ")
         return self.fusion(concat([text_emb, image_emb], axis=-2))
 
     def fuse_joint(self, prompts: list[list[str]], images: Tensor) -> Tensor:

@@ -147,8 +147,6 @@ class Denoiser:
 
     def __call__(self, x: Tensor, t, cond: Tensor) -> Tensor:
         """x is (N, C, H, W); t is an int (any 0-d value) or an (N,) array; cond is (N, L, d)."""
-        if x.ndim != 4:
-            raise ValueError("denoiser expects (N, C, H, W)")
         t_arr = np.asarray(t)
         if t_arr.ndim == 0:
             t_arr = np.full(x.shape[0], t_arr, dtype=np.int64)

@@ -16,12 +16,12 @@ its ``dtype``. The layers read any run-time dtype from those tensors, and
 dtype by name.
 
 ``ModelConfig`` holds every size, the noise schedule's included, and
-rejects a bad one when it is built: every size is at least 1, the betas lie
-in (0, 1) and do not fall, and the sizes fit together. ``Conditioner``,
-``Denoiser`` and ``NoiseSchedule`` take the config and read the sizes they
-use from it, and each derived size (the image-token count, the U-Net levels
-that attend, the betas) is worked out once, where it is used. So the config
-alone rebuilds the model's shapes and its schedule.
+rejects a bad one when it is built: every size is an int of at least 1,
+the betas lie in (0, 1) and do not fall, and the sizes fit together.
+``Conditioner``, ``Denoiser`` and ``NoiseSchedule`` take the config and
+read the sizes they use from it, and each derived size (the image-token
+count, the U-Net levels that attend, the betas) is worked out once, where
+it is used. So the config alone rebuilds the model's shapes and its schedule.
 """
 
 from __future__ import annotations
@@ -61,12 +61,18 @@ class ModelConfig:
         if not 0.0 < self.beta_start <= self.beta_end < 1.0:
             raise ValueError(f"need 0 < beta_start <= beta_end < 1, got beta_start "
                              f"{self.beta_start} and beta_end {self.beta_end}")
-        # every size, and every entry of a tuple of sizes, is at least 1
+        # every size, and every entry of a tuple of sizes, is an int of at least 1
         for cfg, prefix in ((self, ""), (den, "denoiser.")):
             for f in fields(cfg):
-                value = getattr(cfg, f.name)
-                entries = value if isinstance(value, tuple) else (value,)
-                if any(isinstance(v, int) and v < 1 for v in entries):
+                # annotations are strings here (postponed evaluation)
+                value, is_int = getattr(cfg, f.name), f.type == "int"
+                if not is_int and f.type != "tuple[int, ...]":
+                    continue
+                entries = (value,) if is_int else value
+                if not (is_int or type(value) is tuple) or any(type(v) is not int for v in entries):
+                    kind = "an int" if is_int else "a tuple of ints"
+                    raise TypeError(f"{prefix}{f.name} must be {kind}, got {value!r}")
+                if any(v < 1 for v in entries):
                     raise ValueError(f"{prefix}{f.name} must be at least 1, got {value}")
         if not den.channel_mult:
             raise ValueError("denoiser.channel_mult must name at least one U-Net level")

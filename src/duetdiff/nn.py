@@ -7,7 +7,8 @@ layers act on the trailing axis. Layers declare no registry of their own:
 ``named_params`` finds every Tensor by walking the attributes.
 
 One ``Attention`` serves self- and cross-attention: self-attention passes
-the stream as its own context.
+the stream as its own context. Its keys have no bias, since softmax ignores
+a shift shared by every key.
 
 Precision is not a layer's choice. Every layer builds its tensors at
 float64, the precision of every draw, and the model that owns the layers
@@ -27,6 +28,7 @@ from .tensor import (
     conv2d_nhwc,
     layer_norm,
     linear,
+    matmul,
     silu,
 )
 
@@ -93,13 +95,14 @@ class Attention:
     def __init__(self, rng: Rng, dim: int, context_dim: int, n_heads: int):
         self.n_heads = n_heads
         self.q = Linear(rng.split("q"), dim, dim)
-        self.k = Linear(rng.split("k"), context_dim, dim)
+        # a bare weight: softmax ignores a shift shared by every key, so a bias gets no gradient
+        self.k = _param(trunc_normal(rng.split("k"), (context_dim, dim)))
         self.v = Linear(rng.split("v"), context_dim, dim)
         self.out = Linear(rng.split("out"), dim, dim)
 
     def __call__(self, x: Tensor, context: Tensor) -> Tensor:
         q = self.q(x)
-        k = self.k(context)
+        k = matmul(context, self.k)
         v = self.v(context)
         return self.out(attention(q, k, v, self.n_heads))
 

@@ -1,10 +1,12 @@
-"""Adam with bias correction, plus global-norm gradient clipping."""
+"""Adam with bias correction and constant betas and eps, plus global-norm gradient clipping."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .tensor import NonFiniteError, ShapeError, Tensor
+
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -15,30 +17,22 @@ def _check_positive(name: str, value: float) -> None:
 class Adam:
     """Standard Adam over a named parameter dict; state updates in place.
 
-    ``lr`` and ``eps`` must be finite and positive, each beta in [0, 1).
+    The betas (0.9, 0.999) and eps (1e-8) are fixed; ``lr`` must be finite
+    and positive.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         _check_positive("lr", lr)
-        _check_positive("eps", eps)
-        for name, beta in (("beta1", beta1), ("beta2", beta2)):
-            if not 0.0 <= beta < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {beta}")
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.step_count += 1
-        b1, b2 = self.beta1, self.beta2
-        c1 = 1.0 - b1 ** self.step_count
-        c2 = 1.0 - b2 ** self.step_count
+        c1 = 1.0 - _BETA1 ** self.step_count
+        c2 = 1.0 - _BETA2 ** self.step_count
         for name, param in self.params.items():
             g = grads.get(name)
             if g is None:
@@ -48,11 +42,11 @@ class Adam:
                                  f"{param.data.shape} for '{name}'")
             m = self.m[name]
             v = self.v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            param.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * (g * g)
+            param.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + _EPS)
 
     def load_state(self, m: dict[str, np.ndarray], v: dict[str, np.ndarray], step_count: int) -> None:
         """Replace the moments and the step count.

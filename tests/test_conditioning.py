@@ -94,7 +94,7 @@ def test_fusion_modes_share_the_joint_sequence_shape():
     np.testing.assert_array_equal(
         cond.fuse_null(2).data,
         cond.fuse(cond.null_text(2), cond.null_image_batch(2)).data)
-    with pytest.raises(ValueError, match="widths differ"):
+    with pytest.raises(ValueError, match="concat: incompatible shapes"):
         cond.fuse(cond.null_text(2), Tensor(np.zeros((2, cond.null_image.shape[0], D + 1))))
 
 

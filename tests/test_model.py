@@ -125,6 +125,19 @@ def test_a_bad_config_is_rejected_when_built(overrides, message):
         ModelConfig(**overrides)
 
 
+@pytest.mark.parametrize("overrides, message", [
+    pytest.param({"canvas": 16.0}, r"canvas must be an int, got 16\.0", id="float-canvas"),
+    pytest.param({"text_len": 8.5}, r"text_len must be an int, got 8\.5", id="float-text_len"),
+    pytest.param({"encoder_channels": [16, 0]},
+                 r"encoder_channels must be a tuple of ints, got \[16, 0\]", id="list-entries"),
+    pytest.param({"denoiser": DenoiserConfig(n_heads=2.0)},
+                 r"denoiser.n_heads must be an int, got 2\.0", id="float-n_heads"),
+])
+def test_a_size_of_another_type_is_rejected_by_name(overrides, message):
+    with pytest.raises(TypeError, match=rf"^{message}$"):
+        ModelConfig(**overrides)
+
+
 # the sizes ``small_configs`` draws, each from 1 to its largest value
 SMALL_SIZES = {"image_channels": 3, "cond_channels": 2, "text_len": 2, "fusion_layers": 2,
                "fusion_heads": 2, "fusion_hidden": 8, "encoder_out_channels": 4, "total_steps": 3}
@@ -185,7 +198,7 @@ def test_n_heads_must_divide_only_the_channels_that_attend():
 def test_param_names_and_shapes_match_golden_list():
     lines = GOLDEN_NAMES.read_text().splitlines()
     got = [f"{name} {tuple(p.shape)}" for name, p in DiffusionModel(ModelConfig()).params().items()]
-    assert len(got) == 300
+    assert len(got) == 288
     assert got == lines
 
 
@@ -316,6 +329,8 @@ def test_predict_eps_rejects_bad_input():
         model.predict_eps(x_t, t, Tensor(cond.data[:, 1:]))
     with pytest.raises(ValueError, match="outside schedule range"):
         model.predict_eps(x_t, 0, cond)
+    with pytest.raises(ValueError, match=r"x_t shape \(3, 12, 12\)"):
+        model.predict_eps(Tensor(x_t.data[0]), t, cond)
 
 
 def test_predict_eps_takes_one_batched_form():
@@ -413,6 +428,19 @@ def test_every_parameter_gets_a_gradient():
         assert grads[p].shape == p.shape and np.all(np.isfinite(grads[p])), name
     assert np.any(grads[params["cond.null_image"]])
     assert len(grads) == len(params)
+
+
+def test_no_parameter_has_a_dead_gradient():
+    # a parameter whose gradient is 0 up to rounding cannot change a result
+    model, batch, weights = _loss_setup(np.float64)
+    params = model.params()
+    with GradTape() as tape:
+        loss, _ = dropout_loss(model, batch, weights)
+    grads = tape.backward(loss)
+    largest = {name: np.abs(grads[p]).max() for name, p in params.items()}
+    top = max(largest.values())
+    dead = [name for name, g in largest.items() if not g > 1e-12 * top]
+    assert not dead, f"{dead}: largest gradient entry at most 1e-12 of the largest, {top:.3g}"
 
 
 def test_whole_model_gradient_matches_finite_differences():

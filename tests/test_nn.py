@@ -82,10 +82,13 @@ def _packed_self_attention(attn, x, weights):
 
     Returns the output and the gradients of sum(out * weights) with respect
     to x and every parameter of ``attn``, chained by hand through the cut.
+    The keys have no bias, so the key third of the packed bias is 0 and its
+    gradient is dropped.
     """
-    w = Tensor(np.concatenate([attn.q.w.data, attn.k.w.data, attn.v.w.data], axis=1),
+    w = Tensor(np.concatenate([attn.q.w.data, attn.k.data, attn.v.w.data], axis=1),
                requires_grad=True)
-    b = Tensor(np.concatenate([attn.q.b.data, attn.k.b.data, attn.v.b.data]), requires_grad=True)
+    b = Tensor(np.concatenate([attn.q.b.data, np.zeros_like(attn.q.b.data), attn.v.b.data]),
+               requires_grad=True)
     qkv = linear(x, w, b).data
     q, k, v = (Tensor(part, requires_grad=True) for part in np.split(qkv, 3, axis=-1))
     with GradTape() as tape:
@@ -96,9 +99,10 @@ def _packed_self_attention(attn, x, weights):
     with GradTape() as tape:
         loss = tsum(mul(linear(x, w, b), g_qkv))
     g_in = tape.backward(loss)
-    grads = {"x": g_in[x], "out.w": g_out[attn.out.w], "out.b": g_out[attn.out.b]}
-    for name, gw, gb in zip("qkv", np.split(g_in[w], 3, axis=1), np.split(g_in[b], 3)):
-        grads[f"{name}.w"], grads[f"{name}.b"] = gw, gb
+    gq, gk, gv = np.split(g_in[w], 3, axis=1)
+    gbq, _, gbv = np.split(g_in[b], 3)
+    grads = {"x": g_in[x], "q.w": gq, "q.b": gbq, "k": gk, "v.w": gv, "v.b": gbv,
+             "out.w": g_out[attn.out.w], "out.b": g_out[attn.out.b]}
     return out.data, grads
 
 
@@ -122,11 +126,8 @@ def test_self_attention_equals_the_packed_qkv_projection(dtype):
     if dtype != np.float64:
         return
     got = {"x": got[x], **{name[5:]: got[p] for name, p in params.items()}}
-    assert list(got) == ["x", "q.w", "q.b", "k.w", "k.b", "v.w", "v.b", "out.w", "out.b"]
+    assert list(got) == list(ref) == ["x", "q.w", "q.b", "k", "v.w", "v.b", "out.w", "out.b"]
     for name, g in got.items():
-        if name == "k.b":  # softmax ignores a shift shared by every key: 0 up to rounding
-            assert max(np.abs(g).max(), np.abs(ref[name]).max()) <= 1e-12
-            continue
         assert np.linalg.norm(g - ref[name]) <= 1e-12 * np.linalg.norm(ref[name]), name
 
 
@@ -151,7 +152,7 @@ def test_named_params_joins_attribute_paths_indices_and_keys():
     block = TransformerBlock(rng, 8, 2, 16)
     assert list(named_params(block, "b")) == [
         "b.norm1.gain", "b.norm1.bias",
-        "b.attn.q.w", "b.attn.q.b", "b.attn.k.w", "b.attn.k.b",
+        "b.attn.q.w", "b.attn.q.b", "b.attn.k",
         "b.attn.v.w", "b.attn.v.b", "b.attn.out.w", "b.attn.out.b",
         "b.norm2.gain", "b.norm2.bias",
         "b.mlp.fc1.w", "b.mlp.fc1.b", "b.mlp.fc2.w", "b.mlp.fc2.b",

@@ -2,7 +2,7 @@
 
 It keeps the default topology (two U-Net levels of two res blocks,
 attention on the lower level, two fusion layers) at a 12x12 canvas, so it
-registers the same 300 parameter names as the default config.
+registers the same 288 parameter names as the default config.
 """
 
 from duetdiff.denoiser import DenoiserConfig
