@@ -16,8 +16,9 @@ its ``dtype``. The layers read any run-time dtype from those tensors, and
 dtype by name.
 
 ``ModelConfig`` holds every size, the noise schedule's included, and
-rejects a bad one when it is built: every size is an int of at least 1,
-the betas lie in (0, 1) and do not fall, and the sizes fit together.
+rejects a bad one when it is built: every field has its annotated type,
+every size is an int of at least 1, the betas lie in (0, 1) and do not
+fall, and the sizes fit together.
 ``Conditioner``, ``Denoiser`` and ``NoiseSchedule`` take the config and
 read the sizes they use from it, and each derived size (the image-token
 count, the U-Net levels that attend, the betas) is worked out once, where
@@ -56,16 +57,18 @@ class ModelConfig:
     beta_end: float = 0.02
 
     def __post_init__(self):
-        """Reject sizes that would build a model that fails later or drops layers."""
-        den = self.denoiser
-        if not 0.0 < self.beta_start <= self.beta_end < 1.0:
-            raise ValueError(f"need 0 < beta_start <= beta_end < 1, got beta_start "
-                             f"{self.beta_start} and beta_end {self.beta_end}")
+        """Reject a field of another type, or sizes that would build a model that
+        fails later or drops layers."""
+        # every field has its annotated type, the nested config included, and
         # every size, and every entry of a tuple of sizes, is an int of at least 1
-        for cfg, prefix in ((self, ""), (den, "denoiser.")):
+        for cfg, prefix in ((self, ""), (self.denoiser, "denoiser.")):
             for f in fields(cfg):
                 # annotations are strings here (postponed evaluation)
                 value, is_int = getattr(cfg, f.name), f.type == "int"
+                if f.type == "DenoiserConfig" and not isinstance(value, DenoiserConfig):
+                    raise TypeError(f"{prefix}{f.name} must be a DenoiserConfig, got {value!r}")
+                if f.type == "float" and type(value) not in (int, float):
+                    raise TypeError(f"{prefix}{f.name} must be a number, got {value!r}")
                 if not is_int and f.type != "tuple[int, ...]":
                     continue
                 entries = (value,) if is_int else value
@@ -74,6 +77,10 @@ class ModelConfig:
                     raise TypeError(f"{prefix}{f.name} must be {kind}, got {value!r}")
                 if any(v < 1 for v in entries):
                     raise ValueError(f"{prefix}{f.name} must be at least 1, got {value}")
+        if not 0.0 < self.beta_start <= self.beta_end < 1.0:
+            raise ValueError(f"need 0 < beta_start <= beta_end < 1, got beta_start "
+                             f"{self.beta_start} and beta_end {self.beta_end}")
+        den = self.denoiser
         if not den.channel_mult:
             raise ValueError("denoiser.channel_mult must name at least one U-Net level")
         chans = den.channels()

@@ -7,6 +7,12 @@ Tensors only: a python scalar enters through ``scale``, and ``add``, ``sub``
 and ``mul`` raise ``TypeError`` on any other operand. There is one stack of
 active tapes per process; the innermost ``GradTape`` block records.
 
+A record keeps its inputs, its output, and only what one pass over them
+cannot rebuild: ``conv2d_nhwc`` gathers its im2col columns again in the
+backward and ``silu`` recomputes its sigmoid, while ``layer_norm`` keeps
+its normalized input and ``attention`` its softmax weights. So inputs must
+not change between an op and the backward that reads them.
+
 Reductions over a short axis go through BLAS. The network reduces over
 16-64 channels or 24-64 keys per row, and at those lengths numpy's
 ``sum``/``mean``/``max`` along an axis run 5-10x slower than a GEMV:
@@ -43,9 +49,13 @@ _TAPES: list = []
 def _assert_finite(op: str, data: np.ndarray) -> None:
     if not data.size:
         return
-    # one-pass screen; a non-finite sum can also mean benign overflow of
-    # finite values, so confirm with the exact check before raising
-    if not np.isfinite(data.sum()):
+    # one-pass screen: the sum of squares has no terms that cancel, so a NaN
+    # gives NaN and an Inf of either sign +Inf. It can also overflow on finite
+    # values, silently here, so confirm with the exact check before raising
+    flat = data.reshape(-1)
+    with np.errstate(over="ignore"):
+        screen = np.dot(flat, flat)
+    if not np.isfinite(screen):
         if not (np.isfinite(data.min()) and np.isfinite(data.max())):
             raise NonFiniteError(f"{op} produced non-finite values")
 
@@ -273,10 +283,11 @@ def scale(x: Tensor, s: float) -> Tensor:
 
 
 def silu(x: Tensor) -> Tensor:
-    sig = _sigmoid(x.data)
-    out = x.data * sig
+    out = _sigmoid(x.data)
+    out *= x.data
 
     def vjp(g, live):
+        sig = _sigmoid(x.data)
         return (g * (sig * (1.0 + x.data * (1.0 - sig))),)
 
     return _record("silu", out, (x,), vjp)
@@ -412,11 +423,21 @@ def _pad_hw(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
 
 
 def _im2col(a: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """(N, H, W, C) -> (N * OH * OW, kh * kw * C) windows in (kh, kw, C) order."""
-    win = np.lib.stride_tricks.sliding_window_view(a, (kh, kw), axis=(1, 2))
-    win = win[:, ::stride, ::stride]  # (N, OH, OW, C, kh, kw)
-    n, oh, ow, c = win.shape[:4]
-    return win.transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, kh * kw * c)
+    """(N, H, W, C) -> (N * OH * OW, kh * kw * C) windows in (kh, kw, C) order.
+
+    In row-major NHWC memory one kernel row of a window is kw * C contiguous
+    values, so one strided view of shape (N, OH, OW, kh, kw * C) gathers
+    whole rows. Its strides come from the item size, not from ``a.strides``:
+    a contiguous array may carry any stride on a size-1 axis.
+    """
+    a = np.ascontiguousarray(a)
+    n, h, w, c = a.shape
+    oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
+    row, px = w * c * a.itemsize, c * a.itemsize
+    win = np.lib.stride_tricks.as_strided(
+        a, (n, oh, ow, kh, kw * c), (h * row, stride * row, stride * px, row, a.itemsize),
+        writeable=False)
+    return win.reshape(n * oh * ow, kh * kw * c)
 
 
 def conv2d_nhwc(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
@@ -429,8 +450,9 @@ def conv2d_nhwc(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 
     layout. Output extents must divide exactly. ``stride`` and ``padding``
     must be integers, ``stride`` >= 1 and ``padding`` >= 0.
 
-    Forward is one im2col GEMM. Backward gives the weight gradient as one
-    GEMM of the saved columns with the output gradient, and the bias
+    Forward is one im2col GEMM, and the record keeps no columns. Backward
+    gathers the columns of the input again and gives the weight gradient as
+    one GEMM of them with the output gradient, and the bias
     gradient as a column sum of the output gradient's rows. The input gradient
     depends on the stride alone. At stride 1 it is one im2col GEMM: the
     output gradient is padded by (kh-1, kw-1) and cropped by ``padding``,
@@ -467,9 +489,8 @@ def conv2d_nhwc(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
 
-    cols = _im2col(_pad_hw(x.data, padding, padding), kh, kw, stride)
     wmat = w.data.reshape(kh * kw * ci, co)
-    out = cols @ wmat
+    out = _im2col(_pad_hw(x.data, padding, padding), kh, kw, stride) @ wmat
     if b is not None:
         out += b.data
 
@@ -477,6 +498,7 @@ def conv2d_nhwc(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 
         gmat = np.ascontiguousarray(g).reshape(n * oh * ow, co)
         gw = gx = gb = None
         if live[1]:
+            cols = _im2col(_pad_hw(x.data, padding, padding), kh, kw, stride)
             gw = (cols.T @ gmat).reshape(w.shape)
         if b is not None and live[2]:
             gb = _col_sum(gmat)

@@ -2,6 +2,7 @@
 registry, golden outputs, gradients against finite differences, and
 checkpoint loading."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,19 @@ def test_a_size_of_another_type_is_rejected_by_name(overrides, message):
         ModelConfig(**overrides)
 
 
+# ``json.loads`` gives a dict for the nested config and may give a string
+@pytest.mark.parametrize("overrides, message", [
+    pytest.param({"denoiser": {"n_heads": 2}},
+                 r"denoiser must be a DenoiserConfig, got \{'n_heads': 2\}", id="dict-denoiser"),
+    pytest.param({"beta_start": "0.001"}, r"beta_start must be a number, got '0\.001'",
+                 id="str-beta_start"),
+    pytest.param({"beta_end": True}, r"beta_end must be a number, got True", id="bool-beta_end"),
+])
+def test_a_denoiser_or_beta_of_another_type_is_rejected_by_name(overrides, message):
+    with pytest.raises(TypeError, match=rf"^{message}$"):
+        ModelConfig(**overrides)
+
+
 # the sizes ``small_configs`` draws, each from 1 to its largest value
 SMALL_SIZES = {"image_channels": 3, "cond_channels": 2, "text_len": 2, "fusion_layers": 2,
                "fusion_heads": 2, "fusion_hidden": 8, "encoder_out_channels": 4, "total_steps": 3}
@@ -202,10 +216,10 @@ def test_param_names_and_shapes_match_golden_list():
     assert got == lines
 
 
-def test_a_default_train_step_puts_271_records_on_the_tape():
-    # encode, dropout, fuse, forward_diffuse, predict_eps and the eps-MSE
-    # loss; the count does not depend on the batch, and a lost fusion of
-    # an op into its layer's record raises it
+def _default_train_forward():
+    """The default float32 model and a B=2 batch, built once; returns a
+    function that records encode, dropout, fuse, forward_diffuse,
+    predict_eps and the eps-MSE loss on a fresh tape and returns the tape."""
     config = ModelConfig()
     model = DiffusionModel(config, rng=Rng(0), dtype=np.float32)
     cond = model.conditioner
@@ -216,13 +230,45 @@ def test_a_default_train_step_puts_271_records_on_the_tape():
     rng = Rng(2)
     t = 1 + rng.integers(2, config.total_steps)
     eps = Tensor(rng.gaussian(x0.shape, dtype=np.float32))
-    with GradTape() as tape:
-        text, image, _ = cond.apply_condition_dropout(
-            cond.encode_prompt(prompts), cond.encode_image(layouts), rng, 0.1, 0.1)
-        x_t = forward_diffuse(x0, t, eps, model.schedule)
-        diff = sub(model.predict_eps(x_t, t, cond.fuse(text, image)), eps)
-        tmean(mul(diff, diff))
-        assert len(tape._records) == 271
+
+    def forward() -> GradTape:
+        with GradTape() as tape:
+            text, image, _ = cond.apply_condition_dropout(
+                cond.encode_prompt(prompts), cond.encode_image(layouts), rng, 0.1, 0.1)
+            x_t = forward_diffuse(x0, t, eps, model.schedule)
+            diff = sub(model.predict_eps(x_t, t, cond.fuse(text, image)), eps)
+            tmean(mul(diff, diff))
+        return tape
+
+    return forward
+
+
+def test_a_default_train_step_puts_271_records_on_the_tape():
+    # the count does not depend on the batch, and a lost fusion of an op
+    # into its layer's record raises it
+    assert len(_default_train_forward()()._records) == 271
+
+
+# bytes a default B=2 train forward leaves live, nearly all of them on the
+# tape: its outputs and what the vjps keep (13.78 MB while every conv kept
+# its im2col columns and silu its sigmoid, 6.94 MB since)
+TAPE_BYTES_PIN = 7.5e6
+
+
+def test_the_tape_of_a_default_train_step_stays_under_its_pin():
+    forward = _default_train_forward()
+    forward()  # lazy set-up outside the count
+    tracemalloc.start()
+    try:
+        tape = forward()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(tape._records) == 271
+    assert held < TAPE_BYTES_PIN, (
+        f"a default B=2 train forward leaves {held / 1e6:.2f} MB live, over the "
+        f"{TAPE_BYTES_PIN / 1e6} MB pin: keep less on the tape, or move TAPE_BYTES_PIN "
+        f"in the same diff and say why in CHANGES.md")
 
 
 def test_tiny_config_registers_the_same_names():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from duetdiff.nn import Conv2dLayer, LayerNormAffine, Linear
@@ -30,7 +30,7 @@ from duetdiff.tensor import (
     tsum,
     upsample2x,
 )
-from duetdiff.tensor import _col_sum, _row_max, _row_sum
+from duetdiff.tensor import _col_sum, _im2col, _row_max, _row_sum
 
 from fdcheck import max_rel_err, numeric_grad
 
@@ -145,6 +145,26 @@ def test_nonfinite_output_raises():
     big = Tensor(np.full(4, 1e308))
     with pytest.raises(NonFiniteError):
         mul(big, big)
+
+
+# the screen's sum of squares is NaN for a NaN and +Inf for an Inf of either
+# sign; 1e20 squared overflows float32 but is finite, so it must not raise
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("op, x, name", [
+    (lambda t: matmul(t, Tensor([[1e308], [-1e308]])), [[1e308, 1e308]], "matmul"),
+    (lambda t: scale(t, 10.0), [1.0, 1e308], "scale"),
+    (lambda t: scale(t, -10.0), [1.0, 1e308], "scale"),
+], ids=["nan", "+inf", "-inf"])
+def test_a_nan_or_inf_op_output_raises_naming_the_op(op, x, name):
+    with pytest.raises(NonFiniteError, match=rf"^{name} produced non-finite values$"):
+        op(Tensor(x))
+
+
+def test_a_finite_output_whose_squares_overflow_does_not_raise():
+    x = np.array([1e20, -1.0], dtype=np.float32)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.dot(x, x))
+    assert np.array_equal(scale(Tensor(x), 1.0).data, x)
 
 
 def test_conv2d_identity_kernel():
@@ -471,6 +491,48 @@ def test_grad_conv2d(case):
         return _weighted(rng.split("w"), op(*ts, stride=stride, padding=pad))
 
     assert _grad_check(build, [x, w, *arrays], 1e-5) <= 1e-5
+
+
+def _im2col_reference(a, kh, kw, stride):
+    win = np.lib.stride_tricks.sliding_window_view(a, (kh, kw), axis=(1, 2))
+    win = win[:, ::stride, ::stride]  # (N, OH, OW, C, kh, kw)
+    n, oh, ow, c = win.shape[:4]
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, kh * kw * c)
+
+
+@settings(max_examples=60, deadline=None)
+@example(n=1, c=1, h=3, w=3, kh=2, kw=2, stride=1)
+@given(n=st.integers(1, 3), c=st.integers(1, 3), h=st.integers(1, 6), w=st.integers(1, 6),
+       kh=st.integers(1, 4), kw=st.integers(1, 4), stride=st.integers(1, 2))
+def test_im2col_matches_the_sliding_window_gather(n, c, h, w, kh, kw, stride):
+    # distinct values on an NCHW array seen as NHWC: at C = 1 it is flagged
+    # contiguous, yet its size-1 channel axis has the stride of a whole plane
+    kh, kw = min(kh, h), min(kw, w)
+    x = np.arange(n * c * h * w, dtype=np.float64).reshape(n, c, h, w).transpose(0, 2, 3, 1)
+    got = _im2col(x, kh, kw, stride)
+    want = _im2col_reference(x, kh, kw, stride)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kh, kw, stride, pad", _NETWORK_CONVS)
+def test_conv2d_matches_a_reference_that_keeps_its_columns(dtype, kh, kw, stride, pad):
+    # the backward gathers the columns again; they are the forward's, so the
+    # output and the weight and bias gradients are bitwise those of one GEMM
+    # each on columns kept from the forward
+    rng = Rng(36)
+    x, w, b = (_rand(rng, shape).astype(dtype) for shape in ((2, 8, 6, 3), (kh, kw, 3, 2), (2,)))
+    cols = _im2col_reference(np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))), kh, kw, stride)
+    oh, ow = (8 + 2 * pad - kh) // stride + 1, (6 + 2 * pad - kw) // stride + 1
+    weights = _rand(rng, (2, oh, ow, 2)).astype(dtype)
+    out, (_, gw, gb) = _outputs_and_grads(
+        lambda x, w, b: conv2d_nhwc(x, w, b, stride=stride, padding=pad), [x, w, b], weights)
+    ref_out = cols @ w.reshape(-1, 2)
+    ref_out += b
+    gmat = weights.reshape(-1, 2)
+    assert out.dtype == dtype and np.array_equal(out.reshape(-1, 2), ref_out)
+    assert np.array_equal(gw, (cols.T @ gmat).reshape(w.shape))
+    assert np.array_equal(gb, _col_sum(gmat))
 
 
 @pytest.mark.parametrize("case", range(20))
