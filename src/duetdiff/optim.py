@@ -30,6 +30,27 @@ class Adam:
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
+        """One update; a parameter with no entry in ``grads`` gets a zero gradient.
+
+        Every entry is checked before anything changes: its name must be a
+        parameter's, its shape that parameter's and its values finite. A
+        failure names the entry and leaves the parameters, the moments and
+        ``step_count`` as they were.
+        """
+        for name, g in grads.items():
+            if name not in self.params:
+                raise KeyError(f"adam: gradient for unknown parameter '{name}'")
+            if g.shape != self.params[name].data.shape:
+                raise ShapeError(f"adam: gradient shape {g.shape} != param shape "
+                                 f"{self.params[name].data.shape} for '{name}'")
+        # one screen over every entry: a sum of squares is NaN or +Inf when any
+        # value is, and may overflow on finite values, so confirm entry by entry
+        with np.errstate(over="ignore"):
+            screen = sum(np.vdot(g, g) for g in grads.values())
+        if not np.isfinite(screen):
+            for name, g in grads.items():
+                if not np.isfinite(g).all():
+                    raise NonFiniteError(f"adam: gradient '{name}' has non-finite values")
         self.step_count += 1
         c1 = 1.0 - _BETA1 ** self.step_count
         c2 = 1.0 - _BETA2 ** self.step_count
@@ -37,9 +58,6 @@ class Adam:
             g = grads.get(name)
             if g is None:
                 g = np.zeros_like(param.data)
-            if g.shape != param.data.shape:
-                raise ShapeError(f"adam: gradient shape {g.shape} != param shape "
-                                 f"{param.data.shape} for '{name}'")
             m = self.m[name]
             v = self.v[name]
             m *= _BETA1

@@ -8,10 +8,19 @@ and ``mul`` raise ``TypeError`` on any other operand. There is one stack of
 active tapes per process; the innermost ``GradTape`` block records.
 
 A record keeps its inputs, its output, and only what one pass over them
-cannot rebuild: ``conv2d_nhwc`` gathers its im2col columns again in the
+cannot rebuild: ``conv2d_nhwc`` gathers its input windows again in the
 backward and ``silu`` recomputes its sigmoid, while ``layer_norm`` keeps
 its normalized input and ``attention`` its softmax weights. So inputs must
-not change between an op and the backward that reads them.
+not change between an op and the backward that reads them. A vjp may work
+in place in arrays it made, but never writes its incoming gradient, which
+can be another input's gradient too.
+
+Convolution at stride 1 gathers only kw-wide row windows of the
+zero-padded input, with no padded copy: about a third of the bytes of
+kh x kw im2col columns at 3 x 3. It runs one GEMM per kernel row on
+row-shifted slices of them; the forward, the weight gradient and the input
+gradient all take this path. Strided convolutions keep im2col, since their
+row shift is not a fixed offset.
 
 Reductions over a short axis go through BLAS. The network reduces over
 16-64 channels or 24-64 keys per row, and at those lengths numpy's
@@ -287,15 +296,25 @@ def silu(x: Tensor) -> Tensor:
     out *= x.data
 
     def vjp(g, live):
+        # g * (sig * (1 + x * (1 - sig))), operand by operand, in one buffer
         sig = _sigmoid(x.data)
-        return (g * (sig * (1.0 + x.data * (1.0 - sig))),)
+        gx = np.subtract(1.0, sig)
+        gx *= x.data
+        gx += 1.0
+        gx *= sig
+        gx *= g
+        return (gx,)
 
     return _record("silu", out, (x,), vjp)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # tanh form is overflow-free and single-pass
-    return 0.5 * np.tanh(0.5 * x) + 0.5
+    # 0.5 * tanh(0.5 * x) + 0.5: overflow-free, computed in one buffer
+    out = np.multiply(x, 0.5)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
+    return out
 
 
 def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None) -> Tensor:
@@ -323,6 +342,8 @@ def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None
         out += bias.data
 
     def vjp(g, live):
+        # gx = inv * (g - gm - xhat * gxm), operand by operand; the incoming
+        # g may be another input's gradient too, so only g * gain is written
         ggain = gbias = gx = None
         if affine:
             if live[1]:
@@ -332,8 +353,12 @@ def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None
             g = g * gain.data
         if live[0]:
             gm = _row_sum(g) / c
-            gxm = _row_sum(g * xhat) / c
-            gx = inv * (g - gm - xhat * gxm)
+            tmp = np.multiply(g, xhat)
+            gxm = _row_sum(tmp) / c
+            gx = np.subtract(g, gm, out=g if affine else None)
+            np.multiply(xhat, gxm, out=tmp)
+            gx -= tmp
+            gx *= inv
         return (gx, ggain, gbias)
 
     return _record("layer_norm", out, (x, gain, bias) if affine else (x,), vjp)
@@ -440,26 +465,96 @@ def _im2col(a: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     return win.reshape(n * oh * ow, kh * kw * c)
 
 
+def _row_windows(a: np.ndarray, kw: int, ph: int, pw: int) -> np.ndarray:
+    """Every kw-wide window of every row of (N, H, W, C) ``a`` zero-padded by
+    (ph, pw) >= 0, as (N, H + 2 ph, W + 2 pw - kw + 1, kw * C).
+
+    No padded copy is made. A window that lies inside its row is kw * C
+    contiguous values in row-major NHWC memory, so one strided view gathers
+    all of those; as in ``_im2col`` its strides come from the item size.
+    Each of the 2 pw windows per row that overlap the side padding is
+    zeroed and then given the values it takes from inside the row. The ph
+    padding rows above and below are zeros.
+    """
+    a = np.ascontiguousarray(a)
+    n, h, w, c = a.shape
+    ow = w + 2 * pw - kw + 1
+    out = np.empty((n, h + 2 * ph, ow, kw * c), dtype=a.dtype)
+    out[:, :ph] = 0
+    out[:, ph + h :] = 0
+    rows = out[:, ph : ph + h]
+    lo, hi = pw, max(w + pw - kw + 1, pw)  # the windows inside the row
+    px = c * a.itemsize
+    rows[:, :, lo:hi] = np.lib.stride_tricks.as_strided(
+        a, (n, h, hi - lo, kw * c), (h * w * px, w * px, px, a.itemsize), writeable=False)
+    for x in (*range(min(lo, ow)), *range(hi, ow)):
+        j0, j1 = max(pw - x, 0), min(w + pw - x, kw)  # kernel columns inside the row
+        rows[:, :, x] = 0
+        if j1 > j0:
+            rows[:, :, x, j0 * c : j1 * c] = a[:, :, x - pw + j0 : x - pw + j1].reshape(n, h, -1)
+    return out
+
+
+def _row_shift_conv(a: np.ndarray, ph: int, pw: int, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    """Stride-1 cross-correlation of (N, H, W, C) ``a`` zero-padded by (ph, pw);
+    a negative amount crops instead.
+
+    w is (kh, kw, C, C_out). On the rows r = (n * Hp + y) * OW + x of the
+    padded input's ``_row_windows``, kernel row i reads window row
+    r + i * OW, so each kernel row is one GEMM on a zero-copy slice of the
+    windows, and the products are summed in kernel-row order. The last
+    kh - 1 grid rows of each image read into the next image; they are
+    cropped, leaving (N, Hp - kh + 1, OW, C_out), and the optional bias is
+    added in the same pass. The windows are freed before the crop, which
+    keeps the call's transient peak to the windows and the grid.
+    """
+    kh, kw, _, co = w.shape
+    if ph < 0 or pw < 0:
+        a = _pad_hw(a, min(ph, 0), min(pw, 0))
+    windows = _row_windows(a, kw, max(ph, 0), max(pw, 0))
+    n, hp, ow, k = windows.shape
+    rows = (n * hp - kh + 1) * ow
+    flat = windows.reshape(-1, k)
+    wrows = w.reshape(kh, k, co)
+    grid = np.empty((n, hp, ow, co), dtype=a.dtype)
+    out = grid.reshape(-1, co)[:rows]
+    np.matmul(flat[:rows], wrows[0], out=out)
+    for i in range(1, kh):
+        out += flat[i * ow : i * ow + rows] @ wrows[i]
+    del windows, flat
+    if kh == 1:
+        if b is not None:
+            grid += b
+        return grid
+    cropped = grid[:, : hp - kh + 1]
+    return np.add(cropped, b) if b is not None else cropped.copy()
+
+
 def conv2d_nhwc(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
                 padding: int = 0) -> Tensor:
     """2-D cross-correlation on channels-last input, as one tape record.
 
     x is (N, H, W, C_in), w is (kh, kw, C_in, C_out) and the optional bias
-    b is (C_out,), added in place to the GEMM output. Channels-last keeps
-    the im2col gather contiguous, which is why the network runs in this
-    layout. Output extents must divide exactly. ``stride`` and ``padding``
-    must be integers, ``stride`` >= 1 and ``padding`` >= 0.
+    b is (C_out,). Channels-last keeps every gather contiguous, which is
+    why the network runs in this layout. Output extents must divide
+    exactly. ``stride`` and ``padding`` must be integers, ``stride`` >= 1
+    and ``padding`` >= 0.
 
-    Forward is one im2col GEMM, and the record keeps no columns. Backward
-    gathers the columns of the input again and gives the weight gradient as
-    one GEMM of them with the output gradient, and the bias
-    gradient as a column sum of the output gradient's rows. The input gradient
-    depends on the stride alone. At stride 1 it is one im2col GEMM: the
-    output gradient is padded by (kh-1, kw-1) and cropped by ``padding``,
-    done as one pad of (kh-1-padding, kw-1-padding), then gathered into
-    windows and multiplied by the flipped kernel (kh, kw, C_out, C_in).
-    At stride > 1 it scatters the column gradient back, one kh x kw offset
-    at a time. The output is checked for non-finite values.
+    At stride 1 the padded input is gathered into kw-wide row windows
+    (``_row_windows``), and the forward is kh GEMMs on row-shifted slices of
+    them (``_row_shift_conv``). The record keeps no windows: the backward
+    gathers them again, and kernel row i of the weight gradient is the
+    windows shifted by i grid rows against the output gradient laid on a
+    zero grid of the padded height. The input gradient is
+    ``_row_shift_conv`` of the output gradient padded by
+    (kh-1-padding, kw-1-padding), with the flipped kernel
+    (kh, kw, C_out, C_in).
+
+    At stride > 1 the forward is one im2col GEMM and the weight gradient
+    one GEMM of the regathered columns with the output gradient; the input
+    gradient scatters the column gradient back, one kh x kw offset at a
+    time. The bias gradient is a column sum of the output gradient's rows.
+    The output is checked for non-finite values.
     """
     _check_dtypes("conv2d", x, w)
     for name, value in (("stride", stride), ("padding", padding)):
@@ -489,25 +584,39 @@ def conv2d_nhwc(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
 
-    wmat = w.data.reshape(kh * kw * ci, co)
-    out = _im2col(_pad_hw(x.data, padding, padding), kh, kw, stride) @ wmat
-    if b is not None:
-        out += b.data
+    if stride == 1:
+        out = _row_shift_conv(x.data, padding, padding, w.data, None if b is None else b.data)
+    else:
+        wmat = w.data.reshape(kh * kw * ci, co)
+        out = _im2col(_pad_hw(x.data, padding, padding), kh, kw, stride) @ wmat
+        if b is not None:
+            out += b.data
+        out = out.reshape(n, oh, ow, co)
 
     def vjp(g, live):
         gmat = np.ascontiguousarray(g).reshape(n * oh * ow, co)
         gw = gx = gb = None
-        if live[1]:
+        if live[1] and stride == 1:
+            windows = _row_windows(x.data, kw, padding, padding).reshape(-1, kw * ci)
+            ggrid = gmat
+            if kh > 1:
+                ggrid = np.zeros((n, hp, ow, co), dtype=g.dtype)
+                ggrid[:, :oh] = g
+                ggrid = ggrid.reshape(-1, co)
+            rows = (n * hp - kh + 1) * ow
+            gw = np.stack([windows[i * ow : i * ow + rows].T @ ggrid[:rows] for i in range(kh)])
+            gw = gw.reshape(w.shape)
+            del windows, ggrid  # not alive alongside the input gradient's windows
+        elif live[1]:
             cols = _im2col(_pad_hw(x.data, padding, padding), kh, kw, stride)
             gw = (cols.T @ gmat).reshape(w.shape)
         if b is not None and live[2]:
             gb = _col_sum(gmat)
         if live[0] and stride == 1:
-            gcols = _im2col(_pad_hw(g, kh - 1 - padding, kw - 1 - padding), kh, kw, 1)
-            flipped = w.data[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kh * kw * co, ci)
-            gx = (gcols @ flipped).reshape(n, h, wd, ci)
+            flipped = w.data[::-1, ::-1].transpose(0, 1, 3, 2)
+            gx = _row_shift_conv(g, kh - 1 - padding, kw - 1 - padding, flipped, None)
         elif live[0]:
-            dcols = (gmat @ wmat.T).reshape(n, oh, ow, kh, kw, ci)
+            dcols = (gmat @ w.data.reshape(kh * kw * ci, co).T).reshape(n, oh, ow, kh, kw, ci)
             dxp = np.zeros((n, hp, wp, ci), dtype=g.dtype)
             for i in range(kh):
                 for j in range(kw):
@@ -516,7 +625,7 @@ def conv2d_nhwc(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 
         return (gx, gw, gb)
 
     inputs = (x, w) if b is None else (x, w, b)
-    return _record("conv2d", out.reshape(n, oh, ow, co), inputs, vjp)
+    return _record("conv2d", out, inputs, vjp)
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:

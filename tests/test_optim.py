@@ -45,6 +45,26 @@ def test_shape_mismatch_rejected():
         opt.step({"p": np.ones(3)})
 
 
+@pytest.mark.parametrize("bad, error, message", [
+    ({"p": np.ones(3)}, ShapeError, r"gradient shape \(3,\) != param shape \(1, 3\) for 'p'"),
+    ({"p": np.array([[1.0, np.nan, 0.0]])}, NonFiniteError, r"gradient 'p' has non-finite values"),
+    ({"p": np.array([[1.0, 0.0, -np.inf]])}, NonFiniteError, r"gradient 'p' has non-finite values"),
+    ({"q": np.ones(2)}, KeyError, r"gradient for unknown parameter 'q'"),
+], ids=["shape", "nan", "inf", "unknown-name"])
+def test_adam_step_checks_every_gradient_before_updating_any(bad, error, message):
+    # 'a' comes first, so a check made inside the update loop would fail
+    # only after 'a', its moments and the step count had moved
+    opt = _stepped_adam()
+    before = {name: (p.data.copy(), opt.m[name].copy(), opt.v[name].copy())
+              for name, p in opt.params.items()}
+    with pytest.raises(error, match=rf"adam: {message}"):
+        opt.step({"a": np.array([0.5, -1.0]), **bad})
+    assert opt.step_count == 1
+    for name, p in opt.params.items():
+        for got, want in zip((p.data, opt.m[name], opt.v[name]), before[name]):
+            assert np.array_equal(got, want), name
+
+
 def test_state_roundtrip_resumes_identically():
     rng = np.random.default_rng(0)
     p1 = Tensor(rng.normal(size=4))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -30,7 +32,7 @@ from duetdiff.tensor import (
     tsum,
     upsample2x,
 )
-from duetdiff.tensor import _col_sum, _im2col, _row_max, _row_sum
+from duetdiff.tensor import _col_sum, _im2col, _row_max, _row_sum, _row_windows
 
 from fdcheck import max_rel_err, numeric_grad
 
@@ -106,6 +108,48 @@ def test_row_max_is_bitwise_numpy_max(dtype, length):
 
 def test_silu_zero():
     assert silu(Tensor([0.0])).data[0] == 0.0
+
+
+def _silu_expression(x, g):
+    """silu's output and vjp as whole-array expressions."""
+    sig = 0.5 * np.tanh(0.5 * x) + 0.5
+    return x * sig, g * (sig * (1.0 + x * (1.0 - sig)))
+
+
+def _layer_norm_expression(x, g, gain=None, bias=None):
+    """layer_norm's output and gradients as whole-array expressions."""
+    c = x.shape[-1]
+    centered = x - _row_sum(x) / c
+    inv = 1.0 / np.sqrt(_row_sum(centered * centered) / c + np.asarray(1e-5, dtype=x.dtype))
+    xhat = centered * inv
+    if gain is None:
+        return xhat, inv * (g - _row_sum(g) / c - xhat * (_row_sum(g * xhat) / c))
+    ones = np.ones(g.size // c, dtype=g.dtype)
+    _, gx = _layer_norm_expression(x, g * gain)
+    return xhat * gain + bias, gx, ones @ (g * xhat).reshape(-1, c), ones @ g.reshape(-1, c)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(2, 4, 4, 32), (3, 24)], ids=["nhwc", "rows"])
+def test_silu_and_layer_norm_are_bitwise_their_whole_array_expressions(dtype, shape):
+    # the vjps work in place in the same operand order. The three outputs feed
+    # adds, whose vjps hand every operand the same gradient array, so a vjp
+    # that wrote into its incoming gradient would change the others' results
+    rng = Rng(38)
+    x, x2, x3, g = (_rand(rng, shape).astype(dtype) for _ in range(4))
+    gain, bias = (_rand(rng, shape[-1:]).astype(dtype) for _ in range(2))
+    leaves = [Tensor(a, requires_grad=True) for a in (x, gain, bias, x2, x3)]
+    with GradTape() as tape:
+        outs = (layer_norm(*leaves[:3]), silu(leaves[3]), layer_norm(leaves[4]))
+        loss = tsum(mul(add(add(outs[0], outs[1]), outs[2]), Tensor(g)))
+    grads = tape.backward(loss)
+    ln_out, *ln_grads = _layer_norm_expression(x, g, gain, bias)
+    silu_out, silu_gx = _silu_expression(x2, g)
+    plain_out, plain_gx = _layer_norm_expression(x3, g)
+    for got, want in zip(outs, (ln_out, silu_out, plain_out)):
+        assert np.array_equal(got.data, want)
+    for leaf, want in zip(leaves, (*ln_grads, silu_gx, plain_gx)):
+        assert grads[leaf].dtype == dtype and np.array_equal(grads[leaf], want)
 
 
 def test_layer_norm_constant_vector_is_zero():
@@ -514,25 +558,139 @@ def test_im2col_matches_the_sliding_window_gather(n, c, h, w, kh, kw, stride):
     assert got.shape == want.shape and np.array_equal(got, want)
 
 
+def _conv_reference(x, w, b, g, stride, pad):
+    """Output and (gx, gw, gb) of a conv that keeps its im2col columns and
+    scatters the input gradient back one kernel offset at a time."""
+    n, h, wd, ci = x.shape
+    kh, kw, _, co = w.shape
+    oh, ow = g.shape[1:3]
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    cols = _im2col_reference(xp, kh, kw, stride)
+    wmat, gmat = w.reshape(-1, co), g.reshape(-1, co)
+    out = cols @ wmat
+    out += b
+    dcols = (gmat @ wmat.T).reshape(n, oh, ow, kh, kw, ci)
+    dxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcols[:, :, :, i, j]
+    gx = dxp[:, pad : pad + h, pad : pad + wd]
+    return out.reshape(n, oh, ow, co), gx, (cols.T @ gmat).reshape(w.shape), _col_sum(gmat)
+
+
+def _conv_outputs_and_grads(x, w, b, g, stride, pad):
+    out, grads = _outputs_and_grads(
+        lambda x, w, b: conv2d_nhwc(x, w, b, stride=stride, padding=pad), [x, w, b], g)
+    return (out, *grads)
+
+
+def _assert_within_the_rounding_bound(got, x, w, b, g, stride, pad):
+    # a sum of k products, in any order, is within gamma_k = k u / (1 - k u)
+    # times the sum of their magnitudes of the exact sum (Higham, "Accuracy
+    # and Stability of Numerical Algorithms", section 3.1). The float64
+    # reference carries such an error too, hence twice the bound: output (with
+    # the bias) k = kh kw C_in + 1, input gradient kh kw C_out, weight and bias
+    # gradients N OH OW.
+    n, oh, ow, co = g.shape
+    kh, kw, ci, _ = w.shape
+    wide = [a.astype(np.float64) for a in (x, w, b, g)]
+    want = _conv_reference(*wide, stride, pad)
+    size = _conv_reference(*(np.abs(a) for a in wide), stride, pad)
+    u = np.finfo(x.dtype).eps / 2
+    terms = (kh * kw * ci + 1, kh * kw * co, n * oh * ow, n * oh * ow)
+    for name, got_a, want_a, size_a, k in zip(("out", "gx", "gw", "gb"), got, want, size, terms):
+        assert got_a.dtype == x.dtype and got_a.shape == want_a.shape, name
+        bound = 2 * k * u / (1 - k * u) * size_a
+        excess = np.abs(got_a - want_a) - bound
+        assert excess.max() <= 0, f"{name}: error over the bound by {excess.max():.3g}"
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("kh, kw, stride, pad", _NETWORK_CONVS)
 def test_conv2d_matches_a_reference_that_keeps_its_columns(dtype, kh, kw, stride, pad):
-    # the backward gathers the columns again; they are the forward's, so the
-    # output and the weight and bias gradients are bitwise those of one GEMM
-    # each on columns kept from the forward
+    # at stride > 1 the forward is one GEMM on im2col columns and the backward
+    # gathers the same columns again and scatters the input gradient, so the
+    # output and every gradient are bitwise the reference's. At stride 1 the
+    # kh row-shifted GEMMs sum in another order, held to the rounding bound
     rng = Rng(36)
     x, w, b = (_rand(rng, shape).astype(dtype) for shape in ((2, 8, 6, 3), (kh, kw, 3, 2), (2,)))
-    cols = _im2col_reference(np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))), kh, kw, stride)
     oh, ow = (8 + 2 * pad - kh) // stride + 1, (6 + 2 * pad - kw) // stride + 1
-    weights = _rand(rng, (2, oh, ow, 2)).astype(dtype)
-    out, (_, gw, gb) = _outputs_and_grads(
-        lambda x, w, b: conv2d_nhwc(x, w, b, stride=stride, padding=pad), [x, w, b], weights)
-    ref_out = cols @ w.reshape(-1, 2)
-    ref_out += b
-    gmat = weights.reshape(-1, 2)
-    assert out.dtype == dtype and np.array_equal(out.reshape(-1, 2), ref_out)
-    assert np.array_equal(gw, (cols.T @ gmat).reshape(w.shape))
-    assert np.array_equal(gb, _col_sum(gmat))
+    g = _rand(rng, (2, oh, ow, 2)).astype(dtype)
+    got = _conv_outputs_and_grads(x, w, b, g, stride, pad)
+    if stride == 1:
+        _assert_within_the_rounding_bound(got, x, w, b, g, stride, pad)
+        return
+    for name, got_a, want_a in zip(("out", "gx", "gw", "gb"), got, _conv_reference(x, w, b, g, stride, pad)):
+        assert got_a.dtype == dtype and np.array_equal(got_a, want_a), name
+
+
+def _nchw_as_nhwc(values, n, c, h, w):
+    # an NCHW array seen as NHWC: at C = 1 it is flagged contiguous, yet its
+    # size-1 channel axis has the stride of a whole plane
+    return values[: n * c * h * w].reshape(n, c, h, w).transpose(0, 2, 3, 1)
+
+
+@settings(max_examples=80, deadline=None)
+@example(n=1, c=1, h=3, w=3, kw=2, ph=0, pw=0)
+@example(n=1, c=1, h=3, w=3, kw=3, ph=1, pw=1)
+@given(n=st.integers(1, 3), c=st.integers(1, 3), h=st.integers(1, 6), w=st.integers(1, 6),
+       kw=st.integers(1, 4), ph=st.integers(0, 2), pw=st.integers(0, 2))
+def test_row_windows_match_the_sliding_window_gather(n, c, h, w, kw, ph, pw):
+    kw = min(kw, w + 2 * pw)
+    x = _nchw_as_nhwc(np.arange(1, n * c * h * w + 1, dtype=np.float64), n, c, h, w)
+    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, kw, axis=2)  # (N, Hp, OW, C, kw)
+    want = win.transpose(0, 1, 2, 4, 3).reshape(n, h + 2 * ph, w + 2 * pw - kw + 1, kw * c)
+    got = _row_windows(x, kw, ph, pw)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@example(n=1, c=1, h=3, w=3, kh=2, kw=2, pad=0, dtype=np.float32)
+@given(n=st.integers(1, 3), c=st.integers(1, 3), h=st.integers(1, 6), w=st.integers(1, 6),
+       kh=st.integers(1, 4), kw=st.integers(1, 4), pad=st.integers(0, 2),
+       dtype=st.sampled_from([np.float32, np.float64]))
+def test_stride_1_conv2d_stays_within_the_rounding_bound(n, c, h, w, kh, kw, pad, dtype):
+    kh, kw = min(kh, h + 2 * pad), min(kw, w + 2 * pad)
+    oh, ow = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
+    values = np.sin(np.arange(3 * n * (h + 4) * (w + 4) + 96, dtype=np.float64)).astype(dtype)
+    x = _nchw_as_nhwc(values, n, c, h, w)
+    wk = values[-kh * kw * c * 2 :].reshape(kh, kw, c, 2)
+    b, g = values[:2], _nchw_as_nhwc(values[3:], n, 2, oh, ow)
+    got = _conv_outputs_and_grads(x, wk, b, g, 1, pad)
+    _assert_within_the_rounding_bound(got, x, wk, b, g, 1, pad)
+
+
+# transient peak of one level-0 conv forward and backward at B=16 (16 x 16,
+# 16 -> 16 channels, 3 x 3, float32, with bias): 5.85 MB while stride 1
+# padded its input and gathered kh x kw im2col columns, 2.28 MB with kw-wide
+# row windows gathered from the unpadded input
+CONV_PEAK_BYTES_PIN = 3.0e6
+
+
+def test_the_peak_of_a_level_0_conv_forward_and_backward_stays_under_its_pin():
+    rng = Rng(37)
+    x, w, b = (Tensor(_rand(rng, shape).astype(np.float32), requires_grad=True)
+               for shape in ((16, 16, 16, 16), (3, 3, 16, 16), (16,)))
+    g = Tensor(_rand(rng, (16, 16, 16, 16)).astype(np.float32))
+
+    def forward_and_backward():
+        with GradTape() as tape:
+            loss = tsum(mul(conv2d_nhwc(x, w, b, padding=1), g))
+        return tape.backward(loss)
+
+    forward_and_backward()  # lazy set-up outside the count
+    tracemalloc.start()
+    try:
+        grads = forward_and_backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grads[x].shape == x.shape and grads[w].shape == w.shape
+    assert peak < CONV_PEAK_BYTES_PIN, (
+        f"a level-0 conv forward and backward peaks at {peak / 1e6:.2f} MB, over the "
+        f"{CONV_PEAK_BYTES_PIN / 1e6} MB pin: allocate less, or move CONV_PEAK_BYTES_PIN "
+        f"in the same diff and say why in CHANGES.md")
 
 
 @pytest.mark.parametrize("case", range(20))
