@@ -19,8 +19,9 @@ Convolution at stride 1 gathers only kw-wide row windows of the
 zero-padded input, with no padded copy: about a third of the bytes of
 kh x kw im2col columns at 3 x 3. It runs one GEMM per kernel row on
 row-shifted slices of them; the forward, the weight gradient and the input
-gradient all take this path. Strided convolutions keep im2col, since their
-row shift is not a fixed offset.
+gradient all take this path. A stride-s convolution takes it too, on s x s
+blocks of the input and the kernel: the stride-1 convolution of those
+blocks (space-to-depth) is the strided convolution of the pixels.
 
 Reductions over a short axis go through BLAS. The network reduces over
 16-64 channels or 24-64 keys per row, and at those lengths numpy's
@@ -429,40 +430,23 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _record("linear", out, (x, w, b), vjp)
 
 
-def _pad_hw(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    """Zero-pad H and W of (N, H, W, C) by ph and pw on each side.
-
-    A negative amount crops that many rows or columns from each side
-    instead. Padding writes into one preallocated buffer.
-    """
-    if ph < 0 or pw < 0:
-        ch, cw = max(-ph, 0), max(-pw, 0)
-        a = a[:, ch : a.shape[1] - ch, cw : a.shape[2] - cw]
-        ph, pw = max(ph, 0), max(pw, 0)
-    if not (ph or pw):
-        return a
-    n, h, wd, c = a.shape
-    out = np.zeros((n, h + 2 * ph, wd + 2 * pw, c), dtype=a.dtype)
-    out[:, ph : ph + h, pw : pw + wd] = a
-    return out
-
-
-def _im2col(a: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """(N, H, W, C) -> (N * OH * OW, kh * kw * C) windows in (kh, kw, C) order.
-
-    In row-major NHWC memory one kernel row of a window is kw * C contiguous
-    values, so one strided view of shape (N, OH, OW, kh, kw * C) gathers
-    whole rows. Its strides come from the item size, not from ``a.strides``:
-    a contiguous array may carry any stride on a size-1 axis.
-    """
-    a = np.ascontiguousarray(a)
+def _space_to_depth(a: np.ndarray, s: int, hb: int, wb: int, pad: int) -> np.ndarray:
+    """(N, H, W, C) ``a`` zero-padded by ``pad`` above and to the left and out
+    to (hb s, wb s), cut into s x s blocks: (N, hb, wb, s * s * C), each
+    block's values in (row, column, C) order."""
     n, h, w, c = a.shape
-    oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
-    row, px = w * c * a.itemsize, c * a.itemsize
-    win = np.lib.stride_tricks.as_strided(
-        a, (n, oh, ow, kh, kw * c), (h * row, stride * row, stride * px, row, a.itemsize),
-        writeable=False)
-    return win.reshape(n * oh * ow, kh * kw * c)
+    padded = np.zeros((n, hb * s, wb * s, c), dtype=a.dtype)
+    padded[:, pad : pad + h, pad : pad + w] = a
+    return padded.reshape(n, hb, s, wb, s, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, hb, wb, s * s * c)
+
+
+def _depth_to_space(a: np.ndarray, s: int, pad: int, h: int, w: int) -> np.ndarray:
+    """The adjoint of ``_space_to_depth``: (N, hb, wb, s * s * C) blocks laid
+    out as pixels again and cropped to the (h, w) window at (pad, pad)."""
+    n, hb, wb, k = a.shape
+    c = k // (s * s)
+    pixels = a.reshape(n, hb, wb, s, s, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, hb * s, wb * s, c)
+    return pixels[:, pad : pad + h, pad : pad + w]
 
 
 def _row_windows(a: np.ndarray, kw: int, ph: int, pw: int) -> np.ndarray:
@@ -471,7 +455,8 @@ def _row_windows(a: np.ndarray, kw: int, ph: int, pw: int) -> np.ndarray:
 
     No padded copy is made. A window that lies inside its row is kw * C
     contiguous values in row-major NHWC memory, so one strided view gathers
-    all of those; as in ``_im2col`` its strides come from the item size.
+    all of those. Its strides come from the item size, not from
+    ``a.strides``: a contiguous array may carry any stride on a size-1 axis.
     Each of the 2 pw windows per row that overlap the side padding is
     zeroed and then given the values it takes from inside the row. The ph
     padding rows above and below are zeros.
@@ -509,8 +494,8 @@ def _row_shift_conv(a: np.ndarray, ph: int, pw: int, w: np.ndarray, b: np.ndarra
     keeps the call's transient peak to the windows and the grid.
     """
     kh, kw, _, co = w.shape
-    if ph < 0 or pw < 0:
-        a = _pad_hw(a, min(ph, 0), min(pw, 0))
+    ch, cw = max(-ph, 0), max(-pw, 0)
+    a = a[:, ch : a.shape[1] - ch, cw : a.shape[2] - cw]
     windows = _row_windows(a, kw, max(ph, 0), max(pw, 0))
     n, hp, ow, k = windows.shape
     rows = (n * hp - kh + 1) * ow
@@ -538,7 +523,7 @@ def conv2d_nhwc(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 
     b is (C_out,). Channels-last keeps every gather contiguous, which is
     why the network runs in this layout. Output extents must divide
     exactly. ``stride`` and ``padding`` must be integers, ``stride`` >= 1
-    and ``padding`` >= 0.
+    and ``padding`` >= 0, and no extent of x may be 0.
 
     At stride 1 the padded input is gathered into kw-wide row windows
     (``_row_windows``), and the forward is kh GEMMs on row-shifted slices of
@@ -550,11 +535,14 @@ def conv2d_nhwc(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 
     (kh-1-padding, kw-1-padding), with the flipped kernel
     (kh, kw, C_out, C_in).
 
-    At stride > 1 the forward is one im2col GEMM and the weight gradient
-    one GEMM of the regathered columns with the output gradient; the input
-    gradient scatters the column gradient back, one kh x kw offset at a
-    time. The bias gradient is a column sum of the output gradient's rows.
-    The output is checked for non-finite values.
+    A stride-s conv is the stride-1 conv of s x s pixel blocks. At stride
+    s > 1 the input, zero-padded, and the kernel, zero-padded to
+    (s ceil(kh/s), s ceil(kw/s)), are cut into blocks (``_space_to_depth``),
+    and the stride-1 forward and backward run on those at padding 0;
+    ``_depth_to_space`` lays both gradients out as pixels again and crops
+    them. The backward cuts the blocks again, as it gathers the windows.
+    The bias gradient is a column sum of the output gradient's rows. The
+    output is checked for non-finite values.
     """
     _check_dtypes("conv2d", x, w)
     for name, value in (("stride", stride), ("padding", padding)):
@@ -568,6 +556,8 @@ def conv2d_nhwc(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 
         raise ShapeError("conv2d: weight must be (kh, kw, C_in, C_out)")
     if x.ndim != 4:
         raise ShapeError("conv2d: input must be (N, H, W, C)")
+    if not x.size:
+        raise ShapeError(f"conv2d: input {x.shape} has an extent of 0")
     n, h, wd, ci = x.shape
     kh, kw, ci_w, co = w.shape
     if ci != ci_w:
@@ -583,45 +573,44 @@ def conv2d_nhwc(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 
         raise ShapeError("conv2d: non-integral output extent")
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
+    kbh, kbw = -(-kh // stride), -(-kw // stride)  # the kernel's extent in blocks
+    hb = oh + kbh - 1  # the padded input's height in blocks
+    pad = padding if stride == 1 else 0
 
-    if stride == 1:
-        out = _row_shift_conv(x.data, padding, padding, w.data, None if b is None else b.data)
-    else:
-        wmat = w.data.reshape(kh * kw * ci, co)
-        out = _im2col(_pad_hw(x.data, padding, padding), kh, kw, stride) @ wmat
-        if b is not None:
-            out += b.data
-        out = out.reshape(n, oh, ow, co)
+    def blocks():
+        return x.data if stride == 1 else _space_to_depth(x.data, stride, hb, ow + kbw - 1, padding)
+
+    def kernel():
+        if stride == 1:
+            return w.data
+        folded = _space_to_depth(w.data.reshape(1, kh, kw, ci * co), stride, kbh, kbw, 0)
+        return folded.reshape(kbh, kbw, stride * stride * ci, co)
+
+    out = _row_shift_conv(blocks(), pad, pad, kernel(), None if b is None else b.data)
 
     def vjp(g, live):
         gmat = np.ascontiguousarray(g).reshape(n * oh * ow, co)
         gw = gx = gb = None
-        if live[1] and stride == 1:
-            windows = _row_windows(x.data, kw, padding, padding).reshape(-1, kw * ci)
+        if live[1]:
+            windows = _row_windows(blocks(), kbw, pad, pad).reshape(-1, kbw * stride * stride * ci)
             ggrid = gmat
-            if kh > 1:
-                ggrid = np.zeros((n, hp, ow, co), dtype=g.dtype)
+            if kbh > 1:
+                ggrid = np.zeros((n, hb, ow, co), dtype=g.dtype)
                 ggrid[:, :oh] = g
                 ggrid = ggrid.reshape(-1, co)
-            rows = (n * hp - kh + 1) * ow
-            gw = np.stack([windows[i * ow : i * ow + rows].T @ ggrid[:rows] for i in range(kh)])
+            rows = (n * hb - kbh + 1) * ow
+            gw = np.stack([windows[i * ow : i * ow + rows].T @ ggrid[:rows] for i in range(kbh)])
+            if stride > 1:
+                gw = _depth_to_space(gw.reshape(1, kbh, kbw, -1), stride, 0, kh, kw)
             gw = gw.reshape(w.shape)
             del windows, ggrid  # not alive alongside the input gradient's windows
-        elif live[1]:
-            cols = _im2col(_pad_hw(x.data, padding, padding), kh, kw, stride)
-            gw = (cols.T @ gmat).reshape(w.shape)
         if b is not None and live[2]:
             gb = _col_sum(gmat)
-        if live[0] and stride == 1:
-            flipped = w.data[::-1, ::-1].transpose(0, 1, 3, 2)
-            gx = _row_shift_conv(g, kh - 1 - padding, kw - 1 - padding, flipped, None)
-        elif live[0]:
-            dcols = (gmat @ w.data.reshape(kh * kw * ci, co).T).reshape(n, oh, ow, kh, kw, ci)
-            dxp = np.zeros((n, hp, wp, ci), dtype=g.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, i : i + stride * oh : stride, j : j + stride * ow : stride, :] += dcols[:, :, :, i, j, :]
-            gx = dxp[:, padding : hp - padding, padding : wp - padding, :] if padding else dxp
+        if live[0]:
+            flipped = kernel()[::-1, ::-1].transpose(0, 1, 3, 2)
+            gx = _row_shift_conv(g, kbh - 1 - pad, kbw - 1 - pad, flipped, None)
+            if stride > 1:
+                gx = _depth_to_space(gx, stride, padding, h, wd)
         return (gx, gw, gb)
 
     inputs = (x, w) if b is None else (x, w, b)

@@ -17,7 +17,7 @@ from duetdiff.model import DiffusionModel, ModelConfig
 from duetdiff.nn import named_params, trunc_normal
 from duetdiff.rng import Rng
 from duetdiff.synthdata import generate_dataset
-from duetdiff.tensor import GradTape, Tensor, mul, sub, tmean, tsum
+from duetdiff.tensor import GradTape, ShapeError, Tensor, mul, sub, tmean, tsum
 
 from fdcheck import max_rel_err, numeric_grad
 from tiny import TINY
@@ -377,6 +377,13 @@ def test_predict_eps_rejects_bad_input():
         model.predict_eps(x_t, 0, cond)
     with pytest.raises(ValueError, match=r"x_t shape \(3, 12, 12\)"):
         model.predict_eps(Tensor(x_t.data[0]), t, cond)
+
+
+def test_an_empty_batch_is_rejected_by_the_first_conv():
+    model = tiny_model()
+    _, _, x_t, _ = tiny_batch(model, 1)
+    with pytest.raises(ShapeError, match=r"conv2d: input \(0, 12, 12, 3\) has an extent of 0"):
+        model.predict_eps(Tensor(x_t.data[:0]), 5, model.conditioner.fuse_null(0))
 
 
 def test_predict_eps_takes_one_batched_form():
