@@ -15,13 +15,13 @@ not change between an op and the backward that reads them. A vjp may work
 in place in arrays it made, but never writes its incoming gradient, which
 can be another input's gradient too.
 
-Convolution at stride 1 gathers only kw-wide row windows of the
-zero-padded input, with no padded copy: about a third of the bytes of
-kh x kw im2col columns at 3 x 3. It runs one GEMM per kernel row on
-row-shifted slices of them; the forward, the weight gradient and the input
-gradient all take this path. A stride-s convolution takes it too, on s x s
-blocks of the input and the kernel: the stride-1 convolution of those
-blocks (space-to-depth) is the strided convolution of the pixels.
+Convolution gathers only kw-wide row windows of the zero-padded input,
+with no padded copy: about a third of the bytes of kh x kw im2col columns
+at 3 x 3. It runs one GEMM per kernel row on row-shifted slices of them;
+the forward, the weight gradient and the input gradient all take this
+path. It does so on s x s blocks of the input and the kernel, which at
+stride 1 are the pixels: the stride-1 convolution of those blocks
+(space-to-depth) is the strided convolution of the pixels.
 
 Reductions over a short axis go through BLAS. The network reduces over
 16-64 channels or 24-64 keys per row, and at those lengths numpy's
@@ -319,50 +319,50 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None) -> Tensor:
-    """Normalize the trailing axis to zero mean, unit variance (+1e-5).
+    """Normalize the trailing axis to zero mean, unit variance (+1e-5), and
+    return ``xhat * gain + bias`` in the same record.
 
-    With ``gain`` and ``bias`` (both (C,), or neither) the result is
-    ``xhat * gain + bias`` in the same record.
+    ``gain`` and ``bias`` are both (C,), or both omitted. Omitted, they are
+    ones and zeros, so every call runs the one affine body.
     """
     if (gain is None) != (bias is None):
         raise ShapeError("layer_norm: pass both gain and bias, or neither")
     c = x.shape[-1]
-    affine = gain is not None
-    if affine:
-        _check_dtypes("layer_norm", x, gain)
-        _check_dtypes("layer_norm", x, bias)
-        if gain.shape != (c,) or bias.shape != (c,):
-            raise ShapeError(f"layer_norm: gain and bias must be ({c},); got {gain.shape}, {bias.shape}")
+    if gain is None:
+        gain = Tensor._wrap(np.ones(c, dtype=x.data.dtype))
+        bias = Tensor._wrap(np.zeros(c, dtype=x.data.dtype))
+    _check_dtypes("layer_norm", x, gain)
+    _check_dtypes("layer_norm", x, bias)
+    if gain.shape != (c,) or bias.shape != (c,):
+        raise ShapeError(f"layer_norm: gain and bias must be ({c},); got {gain.shape}, {bias.shape}")
     centered = x.data - _row_sum(x.data) / c
     var = _row_sum(centered * centered) / c
     inv = 1.0 / np.sqrt(var + np.asarray(_LAYER_NORM_EPS, dtype=x.data.dtype))
     xhat = centered * inv
-    out = xhat
-    if affine:
-        out = xhat * gain.data
-        out += bias.data
+    out = xhat * gain.data
+    out += bias.data
 
     def vjp(g, live):
-        # gx = inv * (g - gm - xhat * gxm), operand by operand; the incoming
-        # g may be another input's gradient too, so only g * gain is written
+        # gx = inv * (gg - gm - xhat * gxm) with gg = g * gain, operand by
+        # operand; the incoming g may be another input's gradient too, so
+        # only gg is written
         ggain = gbias = gx = None
-        if affine:
-            if live[1]:
-                ggain = _col_sum((g * xhat).reshape(-1, c))
-            if live[2]:
-                gbias = _col_sum(g.reshape(-1, c))
-            g = g * gain.data
+        if live[1]:
+            ggain = _col_sum((g * xhat).reshape(-1, c))
+        if live[2]:
+            gbias = _col_sum(g.reshape(-1, c))
         if live[0]:
-            gm = _row_sum(g) / c
-            tmp = np.multiply(g, xhat)
+            gg = g * gain.data
+            gm = _row_sum(gg) / c
+            tmp = np.multiply(gg, xhat)
             gxm = _row_sum(tmp) / c
-            gx = np.subtract(g, gm, out=g if affine else None)
+            gx = np.subtract(gg, gm, out=gg)
             np.multiply(xhat, gxm, out=tmp)
             gx -= tmp
             gx *= inv
         return (gx, ggain, gbias)
 
-    return _record("layer_norm", out, (x, gain, bias) if affine else (x,), vjp)
+    return _record("layer_norm", out, (x, gain, bias), vjp)
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -430,14 +430,19 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _record("linear", out, (x, w, b), vjp)
 
 
-def _space_to_depth(a: np.ndarray, s: int, hb: int, wb: int, pad: int) -> np.ndarray:
-    """(N, H, W, C) ``a`` zero-padded by ``pad`` above and to the left and out
-    to (hb s, wb s), cut into s x s blocks: (N, hb, wb, s * s * C), each
-    block's values in (row, column, C) order."""
+def _space_to_depth(a: np.ndarray, s: int, pad: int) -> np.ndarray:
+    """(N, H, W, C) ``a`` zero-padded by ``pad`` on each side and out to
+    whole s x s blocks, cut into those blocks: (N, ceil((H + 2 pad) / s),
+    ceil((W + 2 pad) / s), s * s * C), each block's values in (row, column,
+    C) order. It copies ``a`` only to pad it: at s = 1 with no padding the
+    blocks are a view of the pixels."""
     n, h, w, c = a.shape
-    padded = np.zeros((n, hb * s, wb * s, c), dtype=a.dtype)
-    padded[:, pad : pad + h, pad : pad + w] = a
-    return padded.reshape(n, hb, s, wb, s, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, hb, wb, s * s * c)
+    hb, wb = -(-(h + 2 * pad) // s), -(-(w + 2 * pad) // s)
+    if (hb * s, wb * s) != (h, w):
+        padded = np.zeros((n, hb * s, wb * s, c), dtype=a.dtype)
+        padded[:, pad : pad + h, pad : pad + w] = a
+        a = padded
+    return a.reshape(n, hb, s, wb, s, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, hb, wb, s * s * c)
 
 
 def _depth_to_space(a: np.ndarray, s: int, pad: int, h: int, w: int) -> np.ndarray:
@@ -519,11 +524,12 @@ def conv2d_nhwc(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 
                 padding: int = 0) -> Tensor:
     """2-D cross-correlation on channels-last input, as one tape record.
 
-    x is (N, H, W, C_in), w is (kh, kw, C_in, C_out) and the optional bias
-    b is (C_out,). Channels-last keeps every gather contiguous, which is
-    why the network runs in this layout. Output extents must divide
-    exactly. ``stride`` and ``padding`` must be integers, ``stride`` >= 1
-    and ``padding`` >= 0, and no extent of x may be 0.
+    x is (N, H, W, C_in), w is (kh, kw, C_in, C_out) and the bias b is
+    (C_out,); an omitted bias is zeros, so every call runs the one biased
+    body. Channels-last keeps every gather contiguous, which is why the
+    network runs in this layout. Output extents must divide exactly.
+    ``stride`` and ``padding`` must be integers, ``stride`` >= 1 and
+    ``padding`` >= 0, and no extent of x or w may be 0.
 
     At stride 1 the padded input is gathered into kw-wide row windows
     (``_row_windows``), and the forward is kh GEMMs on row-shifted slices of
@@ -535,14 +541,15 @@ def conv2d_nhwc(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 
     (kh-1-padding, kw-1-padding), with the flipped kernel
     (kh, kw, C_out, C_in).
 
-    A stride-s conv is the stride-1 conv of s x s pixel blocks. At stride
-    s > 1 the input, zero-padded, and the kernel, zero-padded to
-    (s ceil(kh/s), s ceil(kw/s)), are cut into blocks (``_space_to_depth``),
-    and the stride-1 forward and backward run on those at padding 0;
-    ``_depth_to_space`` lays both gradients out as pixels again and crops
-    them. The backward cuts the blocks again, as it gathers the windows.
-    The bias gradient is a column sum of the output gradient's rows. The
-    output is checked for non-finite values.
+    A stride-s conv is the stride-1 conv of s x s pixel blocks, and at
+    stride 1 the blocks are the pixels, so every stride runs this code on
+    the input and the kernel, zero-padded to (s ceil(kh/s), s ceil(kw/s)),
+    cut into blocks (``_space_to_depth``); ``_depth_to_space`` lays both
+    gradients out as pixels again and crops them. The stride only decides
+    where the padding goes: into the blocks at s > 1, else into the
+    windows. The backward cuts the blocks again, as it gathers the
+    windows. The bias gradient is a column sum of the output gradient's
+    rows. The output is checked for non-finite values.
     """
     _check_dtypes("conv2d", x, w)
     for name, value in (("stride", stride), ("padding", padding)):
@@ -558,14 +565,17 @@ def conv2d_nhwc(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 
         raise ShapeError("conv2d: input must be (N, H, W, C)")
     if not x.size:
         raise ShapeError(f"conv2d: input {x.shape} has an extent of 0")
+    if not w.size:
+        raise ShapeError(f"conv2d: kernel {w.shape} has an extent of 0")
     n, h, wd, ci = x.shape
     kh, kw, ci_w, co = w.shape
     if ci != ci_w:
         raise ShapeError(f"conv2d: input channels {ci} != kernel channels {ci_w}")
-    if b is not None:
-        _check_dtypes("conv2d", x, b)
-        if b.shape != (co,):
-            raise ShapeError(f"conv2d: bias must be ({co},), got {b.shape}")
+    if b is None:
+        b = Tensor._wrap(np.zeros(co, dtype=x.data.dtype))
+    _check_dtypes("conv2d", x, b)
+    if b.shape != (co,):
+        raise ShapeError(f"conv2d: bias must be ({co},), got {b.shape}")
     hp, wp = h + 2 * padding, wd + 2 * padding
     if hp < kh or wp < kw:
         raise ShapeError("conv2d: kernel larger than padded input")
@@ -575,18 +585,16 @@ def conv2d_nhwc(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 
     ow = (wp - kw) // stride + 1
     kbh, kbw = -(-kh // stride), -(-kw // stride)  # the kernel's extent in blocks
     hb = oh + kbh - 1  # the padded input's height in blocks
-    pad = padding if stride == 1 else 0
+    pad = padding if stride == 1 else 0  # the windows' padding; the blocks take the rest
 
     def blocks():
-        return x.data if stride == 1 else _space_to_depth(x.data, stride, hb, ow + kbw - 1, padding)
+        return _space_to_depth(x.data, stride, padding - pad)
 
     def kernel():
-        if stride == 1:
-            return w.data
-        folded = _space_to_depth(w.data.reshape(1, kh, kw, ci * co), stride, kbh, kbw, 0)
+        folded = _space_to_depth(w.data.reshape(1, kh, kw, ci * co), stride, 0)
         return folded.reshape(kbh, kbw, stride * stride * ci, co)
 
-    out = _row_shift_conv(blocks(), pad, pad, kernel(), None if b is None else b.data)
+    out = _row_shift_conv(blocks(), pad, pad, kernel(), b.data)
 
     def vjp(g, live):
         gmat = np.ascontiguousarray(g).reshape(n * oh * ow, co)
@@ -600,21 +608,17 @@ def conv2d_nhwc(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 
                 ggrid = ggrid.reshape(-1, co)
             rows = (n * hb - kbh + 1) * ow
             gw = np.stack([windows[i * ow : i * ow + rows].T @ ggrid[:rows] for i in range(kbh)])
-            if stride > 1:
-                gw = _depth_to_space(gw.reshape(1, kbh, kbw, -1), stride, 0, kh, kw)
-            gw = gw.reshape(w.shape)
+            gw = _depth_to_space(gw.reshape(1, kbh, kbw, -1), stride, 0, kh, kw).reshape(w.shape)
             del windows, ggrid  # not alive alongside the input gradient's windows
-        if b is not None and live[2]:
+        if live[2]:
             gb = _col_sum(gmat)
         if live[0]:
             flipped = kernel()[::-1, ::-1].transpose(0, 1, 3, 2)
             gx = _row_shift_conv(g, kbh - 1 - pad, kbw - 1 - pad, flipped, None)
-            if stride > 1:
-                gx = _depth_to_space(gx, stride, padding, h, wd)
+            gx = _depth_to_space(gx, stride, padding - pad, h, wd)
         return (gx, gw, gb)
 
-    inputs = (x, w) if b is None else (x, w, b)
-    return _record("conv2d", out, inputs, vjp)
+    return _record("conv2d", out, (x, w, b), vjp)
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -727,7 +731,7 @@ def transpose(x: Tensor, axes) -> Tensor:
     return _record("transpose", out, (x,), vjp, check=False)
 
 
-def concat(tensors, axis: int = 0) -> Tensor:
+def concat(tensors, axis: int) -> Tensor:
     tensors = list(tensors)
     if not tensors:
         raise ShapeError("concat: empty input list")

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -132,23 +133,26 @@ def _layer_norm_expression(x, g, gain=None, bias=None):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("shape", [(2, 4, 4, 32), (3, 24)], ids=["nhwc", "rows"])
 def test_silu_and_layer_norm_are_bitwise_their_whole_array_expressions(dtype, shape):
-    # the vjps work in place in the same operand order. The three outputs feed
+    # the vjps work in place in the same operand order. The four outputs feed
     # adds, whose vjps hand every operand the same gradient array, so a vjp
-    # that wrote into its incoming gradient would change the others' results
+    # that wrote into its incoming gradient would change the others' results.
+    # The plain layer_norm equals the one given ones and zeros, bit for bit
     rng = Rng(38)
     x, x2, x3, g = (_rand(rng, shape).astype(dtype) for _ in range(4))
     gain, bias = (_rand(rng, shape[-1:]).astype(dtype) for _ in range(2))
-    leaves = [Tensor(a, requires_grad=True) for a in (x, gain, bias, x2, x3)]
+    ones, zeros = (Tensor(np.full(shape[-1:], v, dtype=dtype)) for v in (1, 0))
+    leaves = [Tensor(a, requires_grad=True) for a in (x, gain, bias, x2, x3, x3)]
     with GradTape() as tape:
-        outs = (layer_norm(*leaves[:3]), silu(leaves[3]), layer_norm(leaves[4]))
-        loss = tsum(mul(add(add(outs[0], outs[1]), outs[2]), Tensor(g)))
+        outs = (layer_norm(*leaves[:3]), silu(leaves[3]), layer_norm(leaves[4]),
+                layer_norm(leaves[5], ones, zeros))
+        loss = tsum(mul(add(add(add(outs[0], outs[1]), outs[2]), outs[3]), Tensor(g)))
     grads = tape.backward(loss)
     ln_out, *ln_grads = _layer_norm_expression(x, g, gain, bias)
     silu_out, silu_gx = _silu_expression(x2, g)
     plain_out, plain_gx = _layer_norm_expression(x3, g)
-    for got, want in zip(outs, (ln_out, silu_out, plain_out)):
+    for got, want in zip(outs, (ln_out, silu_out, plain_out, plain_out)):
         assert np.array_equal(got.data, want)
-    for leaf, want in zip(leaves, (*ln_grads, silu_gx, plain_gx)):
+    for leaf, want in zip(leaves, (*ln_grads, silu_gx, plain_gx, plain_gx)):
         assert grads[leaf].dtype == dtype and np.array_equal(grads[leaf], want)
 
 
@@ -263,6 +267,14 @@ def test_conv2d_rejects_bad_stride_and_padding(kwargs, message):
     w = Tensor(np.ones((3, 3, 2, 2)))
     with pytest.raises(ShapeError, match=message):
         conv2d_nhwc(x, w, **kwargs)
+
+
+@pytest.mark.parametrize("w_shape", [(0, 3, 2, 2), (3, 0, 2, 2), (3, 3, 2, 0)],
+                         ids=["no-rows", "no-columns", "no-outputs"])
+def test_conv2d_rejects_a_kernel_with_an_extent_of_0(w_shape):
+    x, w = Tensor(np.ones((1, 4, 4, 2))), Tensor(np.ones(w_shape))
+    with pytest.raises(ShapeError, match=re.escape(f"conv2d: kernel {w_shape} has an extent of 0")):
+        conv2d_nhwc(x, w, padding=1)
 
 
 def test_attention_singleton_key_returns_value():
@@ -798,6 +810,15 @@ def test_conv_bias_matches_conv_plus_add(dtype, kh, stride, padding):
     assert out.dtype == ref_out.dtype and np.array_equal(out, ref_out)
     if dtype == np.float64:
         assert _max_rel_l2(grads, ref_grads) <= 1e-12
+    # a conv without a bias is the conv with a zero bias, bit for bit
+    plain_out, plain_grads = _outputs_and_grads(
+        lambda x, w: conv2d_nhwc(x, w, stride=stride, padding=padding), [x, w], weights)
+    zero_out, zero_grads = _outputs_and_grads(
+        lambda x, w, b: conv2d_nhwc(x, w, b=b, stride=stride, padding=padding),
+        [x, w, np.zeros(4, dtype=dtype)], weights)
+    assert plain_out.dtype == dtype and np.array_equal(plain_out, zero_out)
+    for got, want in zip(plain_grads, zero_grads):
+        assert got.dtype == dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("gain, bias, message", [
