@@ -7,13 +7,17 @@ Tensors only: a python scalar enters through ``scale``, and ``add``, ``sub``
 and ``mul`` raise ``TypeError`` on any other operand. There is one stack of
 active tapes per process; the innermost ``GradTape`` block records.
 
-A record keeps its inputs, its output, and only what one pass over them
-cannot rebuild: ``conv2d_nhwc`` gathers its input windows again in the
+A record keeps only what its vjp reads. Its output and its inputs are
+integer keys, not Tensors, so ``add``, ``reshape``, ``concat`` and the like
+keep shapes only, and an activation that no vjp reads is freed as soon as
+the forward drops it. What a vjp does read is kept, unless one pass over
+it rebuilds it: ``conv2d_nhwc`` gathers its input windows again in the
 backward and ``silu`` recomputes its sigmoid, while ``layer_norm`` keeps
-its normalized input and ``attention`` its softmax weights. So inputs must
-not change between an op and the backward that reads them. A vjp may work
-in place in arrays it made, but never writes its incoming gradient, which
-can be another input's gradient too.
+its normalized input and ``attention`` its softmax weights. ``backward``
+pops each record as it consumes it, which frees what that record kept.
+Inputs must not change between an op and the backward that reads them. A
+vjp may work in place in arrays it made, but never writes its incoming
+gradient, which can be another input's gradient too.
 
 Convolution gathers only kw-wide row windows of the zero-padded input,
 with no padded copy: about a third of the bytes of kh x kw im2col columns
@@ -36,7 +40,27 @@ bias gradients of ``linear`` and ``conv2d_nhwc`` reduce only through
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
+
+# glibc's default allocator raises its mmap threshold to the largest block
+# freed so far and trims the heap top whenever twice that is free, so how
+# often freed activations go back to the OS, to be faulted in again on the
+# next step, follows the history of the heap, not the code. In the
+# benchmark loop (2 cores) a 16-image guided sample took 28 to 25,000 minor
+# faults, and a B=16 train step 20-200 while records kept their inputs but
+# about 4,600 once they stopped. With both thresholds fixed once, blocks
+# under 32 MiB come from the heap and up to 64 MiB of free heap top is
+# kept: 1-3 faults per train step and 14-42 per sample.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+if _mallopt is not None:
+    _mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    _mallopt.restype = ctypes.c_int
+    _mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    _mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 class ShapeError(ValueError):
@@ -73,7 +97,7 @@ def _assert_finite(op: str, data: np.ndarray) -> None:
 class Tensor:
     """A dense float array, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad", "_tape")
+    __slots__ = ("data", "requires_grad", "_tape", "_key")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -82,6 +106,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = requires_grad
         self._tape = None
+        self._key = None
         _assert_finite("tensor", arr)
 
     @classmethod
@@ -91,6 +116,7 @@ class Tensor:
         t.data = arr
         t.requires_grad = False
         t._tape = None
+        t._key = None
         return t
 
     @property
@@ -123,10 +149,19 @@ class GradTape:
 
     Single-use: one backward pass consumes the tape. Use as a context
     manager so ops executed inside the block are recorded.
+
+    A record is ``(output key, input keys, vjp, live)``, and holds no
+    Tensor. An op's output gets the key ``-1 - i`` for its record's index
+    i, kept in ``Tensor._key``. A leaf that requires grad is keyed by its
+    id, which CPython keeps non-negative, and the tape holds the leaf in
+    ``_leaves`` so that the id is not reused while the tape lives. An
+    input that is not live has the key ``None``. ``backward`` pops each
+    record as it consumes it.
     """
 
     def __init__(self):
         self._records = []
+        self._leaves: dict[int, Tensor] = {}
         self._consumed = False
 
     def __enter__(self) -> "GradTape":
@@ -142,6 +177,13 @@ class GradTape:
     def _live(self, t: Tensor) -> bool:
         return t.requires_grad or t._tape is self
 
+    def _key_of(self, t: Tensor) -> int:
+        """The key of a live Tensor: its output key, or a leaf's id."""
+        if t._tape is self:
+            return t._key
+        self._leaves[id(t)] = t
+        return id(t)
+
     def backward(self, loss: Tensor) -> dict:
         """Gradients of a scalar loss for every tracked leaf on this tape."""
         if self._consumed:
@@ -152,26 +194,22 @@ class GradTape:
             raise TapeError("loss is not tracked on this tape")
         self._consumed = True
 
-        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        leaves: dict[int, Tensor] = {}
-        if loss.requires_grad:
-            leaves[id(loss)] = loss
-        for out, inputs, vjp, live in reversed(self._records):
-            g = grads.pop(id(out), None)
+        grads: dict[int, np.ndarray] = {self._key_of(loss): np.ones_like(loss.data)}
+        records = self._records
+        while records:
+            out_key, in_keys, vjp, live = records.pop()
+            g = grads.pop(out_key, None)
             if g is None:
                 continue
-            for t, gi in zip(inputs, vjp(g, live)):
+            for key, gi in zip(in_keys, vjp(g, live)):
                 if gi is None:
                     continue
-                key = id(t)
                 if key in grads:
                     grads[key] = grads[key] + gi
                 else:
                     grads[key] = gi
-                if t.requires_grad:
-                    leaves[key] = t
-        self._records.clear()
-        return {t: grads[key] for key, t in leaves.items()}
+        leaves, self._leaves = self._leaves, {}
+        return {t: grads[key] for key, t in leaves.items() if key in grads}
 
 
 def _record(name: str, out_data: np.ndarray, inputs: tuple, vjp, check: bool = True) -> Tensor:
@@ -188,7 +226,9 @@ def _record(name: str, out_data: np.ndarray, inputs: tuple, vjp, check: bool = T
         live = tuple(tape._live(t) for t in inputs)
         if any(live):
             out._tape = tape
-            tape._records.append((out, inputs, vjp, live))
+            out._key = -1 - len(tape._records)
+            in_keys = tuple(tape._key_of(t) if is_live else None for t, is_live in zip(inputs, live))
+            tape._records.append((out._key, in_keys, vjp, live))
     return out
 
 
@@ -247,9 +287,12 @@ def _softmax_rows(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 # elementwise suite
 
 
-def _elementwise(name: str, fn, a: Tensor, b: Tensor, grad_a, grad_b) -> Tensor:
-    """``fn`` of two broadcasting Tensors; ``grad_a(g)``/``grad_b(g)`` give each
-    operand's gradient at the output shape, summed back to the operand's shape."""
+def _elementwise(name: str, fn, a: Tensor, b: Tensor, grads) -> Tensor:
+    """``fn`` of two broadcasting Tensors. ``grads(a.data, b.data)`` gives the
+    two maps from the output gradient to each operand's gradient at the
+    output shape, which is then summed back to the operand's shape. The
+    record keeps those maps and the two shapes, so it keeps an operand's
+    data only where a map reads it."""
     for t in (a, b):
         if not isinstance(t, Tensor):
             raise TypeError(f"{name}: operands must be Tensors, got {type(t).__name__}")
@@ -258,27 +301,33 @@ def _elementwise(name: str, fn, a: Tensor, b: Tensor, grad_a, grad_b) -> Tensor:
         out = fn(a.data, b.data)
     except ValueError as exc:
         raise ShapeError(f"{name}: incompatible shapes {a.shape} and {b.shape}") from exc
+    grad_a, grad_b = grads(a.data, b.data)
+    shape_a, shape_b = a.shape, b.shape
 
     def vjp(g, live):
         return (
-            _unbroadcast(grad_a(g), a.shape) if live[0] else None,
-            _unbroadcast(grad_b(g), b.shape) if live[1] else None,
+            _unbroadcast(grad_a(g), shape_a) if live[0] else None,
+            _unbroadcast(grad_b(g), shape_b) if live[1] else None,
         )
 
     return _record(name, out, (a, b), vjp)
 
 
+def _identity(g: np.ndarray) -> np.ndarray:
+    return g
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    return _elementwise("add", np.add, a, b, lambda g: g, lambda g: g)
+    return _elementwise("add", np.add, a, b, lambda ad, bd: (_identity, _identity))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     # negation commutes with the sum in _unbroadcast, bit for bit
-    return _elementwise("sub", np.subtract, a, b, lambda g: g, np.negative)
+    return _elementwise("sub", np.subtract, a, b, lambda ad, bd: (_identity, np.negative))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    return _elementwise("mul", np.multiply, a, b, lambda g: g * b.data, lambda g: g * a.data)
+    return _elementwise("mul", np.multiply, a, b, lambda ad, bd: (lambda g: g * bd, lambda g: g * ad))
 
 
 def scale(x: Tensor, s: float) -> Tensor:
@@ -293,14 +342,15 @@ def scale(x: Tensor, s: float) -> Tensor:
 
 
 def silu(x: Tensor) -> Tensor:
-    out = _sigmoid(x.data)
-    out *= x.data
+    xd = x.data
+    out = _sigmoid(xd)
+    out *= xd
 
     def vjp(g, live):
         # g * (sig * (1 + x * (1 - sig))), operand by operand, in one buffer
-        sig = _sigmoid(x.data)
+        sig = _sigmoid(xd)
         gx = np.subtract(1.0, sig)
-        gx *= x.data
+        gx *= xd
         gx += 1.0
         gx *= sig
         gx *= g
@@ -339,7 +389,8 @@ def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None
     var = _row_sum(centered * centered) / c
     inv = 1.0 / np.sqrt(var + np.asarray(_LAYER_NORM_EPS, dtype=x.data.dtype))
     xhat = centered * inv
-    out = xhat * gain.data
+    gd = gain.data
+    out = xhat * gd
     out += bias.data
 
     def vjp(g, live):
@@ -352,7 +403,7 @@ def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None
         if live[2]:
             gbias = _col_sum(g.reshape(-1, c))
         if live[0]:
-            gg = g * gain.data
+            gg = g * gd
             gm = _row_sum(gg) / c
             tmp = np.multiply(gg, xhat)
             gxm = _row_sum(tmp) / c
@@ -386,17 +437,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError("matmul operands need at least 2 dims")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner extents {a.shape} x {b.shape} do not match")
+    ad, bd = a.data, b.data
     try:
-        out = np.matmul(a.data, b.data)
+        out = np.matmul(ad, bd)
     except ValueError as exc:
         raise ShapeError(f"matmul: incompatible batch shapes {a.shape} x {b.shape}") from exc
 
     def vjp(g, live):
         ga = gb = None
         if live[0]:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape)
         if live[1]:
-            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+            gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape)
         return (ga, gb)
 
     return _record("matmul", out, (a, b), vjp)
@@ -416,14 +468,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                          f"got {x.shape}, {w.shape}, {b.shape}")
     if x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear: inner extents {x.shape} x {w.shape} do not match")
-    out = np.matmul(x.data, w.data)
+    xd, wd = x.data, w.data
+    out = np.matmul(xd, wd)
     out += b.data
 
     def vjp(g, live):
-        d_in, d_out = w.shape
+        d_in, d_out = wd.shape
         g2 = g.reshape(-1, d_out)
-        gx = np.matmul(g, w.data.T) if live[0] else None
-        gw = x.data.reshape(-1, d_in).T @ g2 if live[1] else None
+        gx = np.matmul(g, wd.T) if live[0] else None
+        gw = xd.reshape(-1, d_in).T @ g2 if live[1] else None
         gb = _col_sum(g2) if live[2] else None
         return (gx, gw, gb)
 
@@ -516,8 +569,13 @@ def _row_shift_conv(a: np.ndarray, ph: int, pw: int, w: np.ndarray, b: np.ndarra
         if b is not None:
             grid += b
         return grid
-    cropped = grid[:, : hp - kh + 1]
-    return np.add(cropped, b) if b is not None else cropped.copy()
+    oh = hp - kh + 1
+    cropped = grid[:, :oh]
+    if b is None:
+        return cropped.copy()
+    # each cropped row is one contiguous OW * C_out run: the bias tiled to
+    # that run adds in about 2/3 of the time of a per-pixel broadcast
+    return np.add(cropped.reshape(n, oh, ow * co), np.tile(b, ow)).reshape(n, oh, ow, co)
 
 
 def conv2d_nhwc(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
@@ -586,12 +644,13 @@ def conv2d_nhwc(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 
     kbh, kbw = -(-kh // stride), -(-kw // stride)  # the kernel's extent in blocks
     hb = oh + kbh - 1  # the padded input's height in blocks
     pad = padding if stride == 1 else 0  # the windows' padding; the blocks take the rest
+    x_data, w_data = x.data, w.data
 
     def blocks():
-        return _space_to_depth(x.data, stride, padding - pad)
+        return _space_to_depth(x_data, stride, padding - pad)
 
     def kernel():
-        folded = _space_to_depth(w.data.reshape(1, kh, kw, ci * co), stride, 0)
+        folded = _space_to_depth(w_data.reshape(1, kh, kw, ci * co), stride, 0)
         return folded.reshape(kbh, kbw, stride * stride * ci, co)
 
     out = _row_shift_conv(blocks(), pad, pad, kernel(), b.data)
@@ -608,7 +667,7 @@ def conv2d_nhwc(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 
                 ggrid = ggrid.reshape(-1, co)
             rows = (n * hb - kbh + 1) * ow
             gw = np.stack([windows[i * ow : i * ow + rows].T @ ggrid[:rows] for i in range(kbh)])
-            gw = _depth_to_space(gw.reshape(1, kbh, kbw, -1), stride, 0, kh, kw).reshape(w.shape)
+            gw = _depth_to_space(gw.reshape(1, kbh, kbw, -1), stride, 0, kh, kw).reshape(kh, kw, ci, co)
             del windows, ggrid  # not alive alongside the input gradient's windows
         if live[2]:
             gb = _col_sum(gmat)
@@ -714,8 +773,10 @@ def reshape(x: Tensor, shape) -> Tensor:
     except ValueError as exc:
         raise ShapeError(f"reshape: cannot view {x.shape} as {shape}") from exc
 
+    x_shape = x.shape
+
     def vjp(g, live):
-        return (g.reshape(x.shape),)
+        return (g.reshape(x_shape),)
 
     return _record("reshape", out, (x,), vjp, check=False)
 
@@ -756,9 +817,10 @@ def concat(tensors, axis: int) -> Tensor:
 def tsum(x: Tensor) -> Tensor:
     """Sum of every element, as a 0-d tensor."""
     out = x.data.sum()
+    x_shape = x.shape
 
     def vjp(g, live):
-        return (np.broadcast_to(g, x.shape),)
+        return (np.broadcast_to(g, x_shape),)
 
     return _record("sum", np.asarray(out, dtype=x.data.dtype), (x,), vjp)
 
@@ -766,9 +828,10 @@ def tsum(x: Tensor) -> Tensor:
 def tmean(x: Tensor) -> Tensor:
     """Mean of every element, as a 0-d tensor."""
     out = x.data.mean()
+    x_shape, x_size = x.shape, x.size
 
     def vjp(g, live):
-        return (np.broadcast_to(g, x.shape) / x.data.size,)
+        return (np.broadcast_to(g, x_shape) / x_size,)
 
     return _record("mean", np.asarray(out, dtype=x.data.dtype), (x,), vjp)
 

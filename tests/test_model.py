@@ -219,7 +219,8 @@ def test_param_names_and_shapes_match_golden_list():
 def _default_train_forward():
     """The default float32 model and a B=2 batch, built once; returns a
     function that records encode, dropout, fuse, forward_diffuse,
-    predict_eps and the eps-MSE loss on a fresh tape and returns the tape."""
+    predict_eps and the eps-MSE loss on a fresh tape and returns the tape
+    and the loss."""
     config = ModelConfig()
     model = DiffusionModel(config, rng=Rng(0), dtype=np.float32)
     cond = model.conditioner
@@ -237,8 +238,8 @@ def _default_train_forward():
                 cond.encode_prompt(prompts), cond.encode_image(layouts), rng, 0.1, 0.1)
             x_t = forward_diffuse(x0, t, eps, model.schedule)
             diff = sub(model.predict_eps(x_t, t, cond.fuse(text, image)), eps)
-            tmean(mul(diff, diff))
-        return tape
+            loss = tmean(mul(diff, diff))
+        return tape, loss
 
     return forward
 
@@ -246,13 +247,18 @@ def _default_train_forward():
 def test_a_default_train_step_puts_271_records_on_the_tape():
     # the count does not depend on the batch, and a lost fusion of an op
     # into its layer's record raises it
-    assert len(_default_train_forward()()._records) == 271
+    tape, _ = _default_train_forward()()
+    assert len(tape._records) == 271
 
 
 # bytes a default B=2 train forward leaves live, nearly all of them on the
-# tape: its outputs and what the vjps keep (13.78 MB while every conv kept
-# its im2col columns and silu its sigmoid, 6.94 MB since)
-TAPE_BYTES_PIN = 7.5e6
+# tape: what the vjps keep (13.78 MB while every conv kept its im2col
+# columns and silu its sigmoid, 6.94 MB while every record also kept its
+# inputs and output, 5.22 MB since), and the tracemalloc peak of its
+# backward, which frees each record as it consumes it (8.77 MB while the
+# tape was kept whole until the end, 5.35 MB since)
+TAPE_BYTES_PIN = 5.6e6
+BACKWARD_PEAK_BYTES_PIN = 5.8e6
 
 
 def test_the_tape_of_a_default_train_step_stays_under_its_pin():
@@ -260,15 +266,23 @@ def test_the_tape_of_a_default_train_step_stays_under_its_pin():
     forward()  # lazy set-up outside the count
     tracemalloc.start()
     try:
-        tape = forward()
+        tape, loss = forward()
         held = tracemalloc.get_traced_memory()[0]
+        records = len(tape._records)
+        tracemalloc.reset_peak()
+        grads = tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(tape._records) == 271
+    assert records == 271 and len(grads) == 288
     assert held < TAPE_BYTES_PIN, (
         f"a default B=2 train forward leaves {held / 1e6:.2f} MB live, over the "
         f"{TAPE_BYTES_PIN / 1e6} MB pin: keep less on the tape, or move TAPE_BYTES_PIN "
         f"in the same diff and say why in CHANGES.md")
+    assert peak < BACKWARD_PEAK_BYTES_PIN, (
+        f"the backward of a default B=2 train step peaks at {peak / 1e6:.2f} MB, over the "
+        f"{BACKWARD_PEAK_BYTES_PIN / 1e6} MB pin: free each record as it is consumed, or move "
+        f"BACKWARD_PEAK_BYTES_PIN in the same diff and say why in CHANGES.md")
 
 
 def test_tiny_config_registers_the_same_names():

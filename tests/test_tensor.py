@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -393,9 +394,10 @@ def test_an_inner_tape_records_only_its_own_ops_and_tapes_exit_in_order():
         with inner:
             z = mul(x, x)
             untracked = mul(y, y)  # y lives on the outer tape only
-        assert [r[0] for r in outer._records] == [y]
-        assert [r[0] for r in inner._records] == [z]
+        assert [r[0] for r in outer._records] == [y._key]
+        assert [r[0] for r in inner._records] == [z._key]
         assert y._tape is outer and z._tape is inner and untracked._tape is None
+        assert untracked._key is None
     outer.__enter__()
     inner.__enter__()
     try:
@@ -411,6 +413,42 @@ def test_ops_outside_tape_record_nothing():
     x = Tensor(np.ones(3), requires_grad=True)
     y = mul(x, x)
     assert y._tape is None
+
+
+def test_the_tape_frees_an_output_that_no_vjp_reads():
+    x = Tensor(np.ones(3), requires_grad=True)
+    with GradTape() as tape:
+        h = add(x, x)
+        out = add(h, x)
+        alive = weakref.ref(h.data)
+        del h
+        assert alive() is None
+        loss = tsum(out)
+    assert np.array_equal(tape.backward(loss)[x], np.full(3, 3.0))
+
+
+def test_a_long_chain_of_dropped_temporaries_matches_finite_differences():
+    # every step makes and drops a requires-grad leaf and four op outputs, so
+    # ids are freed and reused across the chain; the tape must keep each
+    # dropped leaf's gradient apart and x's gradient exact
+    steps = 200
+    rng = Rng(39)
+    x0 = _rand(rng, (3,))
+    coefs = _rand(rng, (steps, 3))
+
+    def build(x):
+        y = x
+        for c in coefs:
+            y = add(y, scale(mul(Tensor(c, requires_grad=True), silu(y)), 0.01))
+        return tsum(y)
+
+    x = Tensor(x0, requires_grad=True)
+    with GradTape() as tape:
+        loss = build(x)
+    grads = tape.backward(loss)
+    assert len(grads) == 1 + steps
+    numeric = numeric_grad(lambda: build(Tensor(x0)).item(), [x0])
+    assert max_rel_err([grads[x]], numeric) < 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -795,7 +833,8 @@ def test_affine_layer_norm_matches_the_composed_ops(dtype, x_shape):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("kh, stride, padding", [(3, 1, 1), (4, 2, 1)], ids=["3x3", "4x4-s2"])
+@pytest.mark.parametrize("kh, stride, padding", [(3, 1, 1), (4, 2, 1), (3, 1, 0)],
+                         ids=["3x3", "4x4-s2", "3x3-valid"])
 def test_conv_bias_matches_conv_plus_add(dtype, kh, stride, padding):
     rng = Rng(35)
     x = _rand(rng, (2, 6, 6, 3)).astype(dtype)
