@@ -22,7 +22,7 @@ import numpy as np
 
 from .nn import Attention, Conv2dLayer, LayerNormAffine, Linear, Mlp, timestep_embedding
 from .rng import Rng
-from .tensor import Tensor, add, concat, reshape, silu, transpose, upsample2x
+from .tensor import Tensor, add, concat, norm_silu_conv2d, reshape, silu, transpose, upsample2x
 
 if TYPE_CHECKING:
     from .model import ModelConfig
@@ -45,7 +45,10 @@ class DenoiserConfig:
 class ResBlock:
     """norm-silu-conv twice, timestep features added between, residual skip.
 
-    ``temb`` holds the activated time features of ``Denoiser.time_features``.
+    Each norm-silu-conv half is one ``norm_silu_conv2d`` record, which
+    keeps only the half's input and its row statistics and rebuilds the
+    normalized and activated maps in the backward. ``temb`` holds the
+    activated time features of ``Denoiser.time_features``.
     """
 
     def __init__(self, rng: Rng, c_in: int, c_out: int, temb_dim: int):
@@ -57,11 +60,15 @@ class ResBlock:
         self.skip = None if c_in == c_out else Conv2dLayer(rng.split("skip"), c_in, c_out, 1)
 
     def __call__(self, x: Tensor, temb: Tensor) -> Tensor:
-        h = self.conv1(silu(self.norm1(x)))
+        h = _norm_silu_conv(self.norm1, self.conv1, x)
         t = self.time_proj(temb)
         h = add(h, reshape(t, (t.shape[0], 1, 1, t.shape[1])))
-        h = self.conv2(silu(self.norm2(h)))
+        h = _norm_silu_conv(self.norm2, self.conv2, h)
         return add(h, x if self.skip is None else self.skip(x))
+
+
+def _norm_silu_conv(norm: LayerNormAffine, conv: Conv2dLayer, x: Tensor) -> Tensor:
+    return norm_silu_conv2d(x, norm.gain, norm.bias, conv.w, conv.b, padding=conv.padding)
 
 
 class SpatialAttnBlock:

@@ -29,7 +29,7 @@ from .tensor import (
     layer_norm,
     linear,
     matmul,
-    silu,
+    silu_mlp,
 )
 
 
@@ -108,12 +108,15 @@ class Attention:
 
 
 class Mlp:
+    """fc1, SiLU, fc2 as one ``silu_mlp`` record, which keeps only its input
+    and rebuilds the hidden state in the backward."""
+
     def __init__(self, rng: Rng, dim: int, hidden: int):
         self.fc1 = Linear(rng.split("fc1"), dim, hidden)
         self.fc2 = Linear(rng.split("fc2"), hidden, dim)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.fc2(silu(self.fc1(x)))
+        return silu_mlp(x, self.fc1.w, self.fc1.b, self.fc2.w, self.fc2.b)
 
 
 class TransformerBlock:

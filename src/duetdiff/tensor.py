@@ -13,8 +13,18 @@ keep shapes only, and an activation that no vjp reads is freed as soon as
 the forward drops it. What a vjp does read is kept, unless one pass over
 it rebuilds it: ``conv2d_nhwc`` gathers its input windows again in the
 backward and ``silu`` recomputes its sigmoid, while ``layer_norm`` keeps
-its normalized input and ``attention`` its softmax weights. ``backward``
-pops each record as it consumes it, which frees what that record kept.
+its normalized input and ``attention`` its softmax weights. Two fused
+records go further and keep only a chain's input: ``norm_silu_conv2d``
+(layer norm, SiLU, conv) keeps ``x`` and the row mean and 1/sigma, and
+rebuilds the normalized input, the affine output and its SiLU;
+``silu_mlp`` (linear, SiLU, linear) keeps ``x`` and rebuilds the hidden
+state and its SiLU (selective recomputation, Korthikanti et al., arXiv
+2205.05198). Each stage's forward and vjp is one array-level helper
+(``_ln_normalize``, ``_ln_affine``, ``_ln_vjp``, ``_silu``, ``_silu_vjp``,
+``_conv``, ``_conv_vjp``, ``_linear``, ``_linear_vjp``) that the standalone
+op and the fused record both call, so the rebuilt values and every
+gradient equal the composed ops' bit for bit. ``backward`` pops each
+record as it consumes it, which frees what that record kept.
 Inputs must not change between an op and the backward that reads them. A
 vjp may work in place in arrays it made, but never writes its incoming
 gradient, which can be another input's gradient too.
@@ -85,10 +95,10 @@ def _assert_finite(op: str, data: np.ndarray) -> None:
         return
     # one-pass screen: the sum of squares has no terms that cancel, so a NaN
     # gives NaN and an Inf of either sign +Inf. It can also overflow on finite
-    # values, silently here, so confirm with the exact check before raising
+    # values, so confirm with the exact check before raising. ``vdot`` raises
+    # no floating-point warning, so no ``errstate`` is entered per call
     flat = data.reshape(-1)
-    with np.errstate(over="ignore"):
-        screen = np.dot(flat, flat)
+    screen = np.vdot(flat, flat)
     if not np.isfinite(screen):
         if not (np.isfinite(data.min()) and np.isfinite(data.max())):
             raise NonFiniteError(f"{op} produced non-finite values")
@@ -341,24 +351,6 @@ def scale(x: Tensor, s: float) -> Tensor:
     return _record("scale", out, (x,), vjp)
 
 
-def silu(x: Tensor) -> Tensor:
-    xd = x.data
-    out = _sigmoid(xd)
-    out *= xd
-
-    def vjp(g, live):
-        # g * (sig * (1 + x * (1 - sig))), operand by operand, in one buffer
-        sig = _sigmoid(xd)
-        gx = np.subtract(1.0, sig)
-        gx *= xd
-        gx += 1.0
-        gx *= sig
-        gx *= g
-        return (gx,)
-
-    return _record("silu", out, (x,), vjp)
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # 0.5 * tanh(0.5 * x) + 0.5: overflow-free, computed in one buffer
     out = np.multiply(x, 0.5)
@@ -368,13 +360,34 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None) -> Tensor:
-    """Normalize the trailing axis to zero mean, unit variance (+1e-5), and
-    return ``xhat * gain + bias`` in the same record.
+def _silu(x: np.ndarray) -> np.ndarray:
+    out = _sigmoid(x)
+    out *= x
+    return out
 
-    ``gain`` and ``bias`` are both (C,), or both omitted. Omitted, they are
-    ones and zeros, so every call runs the one affine body.
-    """
+
+def _silu_vjp(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # g * (sig * (1 + x * (1 - sig))), operand by operand, in one buffer
+    sig = _sigmoid(x)
+    gx = np.subtract(1.0, sig)
+    gx *= x
+    gx += 1.0
+    gx *= sig
+    gx *= g
+    return gx
+
+
+def silu(x: Tensor) -> Tensor:
+    xd = x.data
+
+    def vjp(g, live):
+        return (_silu_vjp(g, xd),)
+
+    return _record("silu", _silu(xd), (x,), vjp)
+
+
+def _check_layer_norm(x: Tensor, gain: Tensor | None, bias: Tensor | None) -> tuple:
+    """``gain`` and ``bias`` for ``x``, ones and zeros when both are omitted."""
     if (gain is None) != (bias is None):
         raise ShapeError("layer_norm: pass both gain and bias, or neither")
     c = x.shape[-1]
@@ -385,35 +398,72 @@ def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None
     _check_dtypes("layer_norm", x, bias)
     if gain.shape != (c,) or bias.shape != (c,):
         raise ShapeError(f"layer_norm: gain and bias must be ({c},); got {gain.shape}, {bias.shape}")
-    centered = x.data - _row_sum(x.data) / c
-    var = _row_sum(centered * centered) / c
-    inv = 1.0 / np.sqrt(var + np.asarray(_LAYER_NORM_EPS, dtype=x.data.dtype))
-    xhat = centered * inv
+    return gain, bias
+
+
+def _ln_normalize(x: np.ndarray, stats: tuple | None) -> tuple:
+    """``(xhat, (mean, inv))`` for the rows of ``x``: xhat = (x - mean) * inv
+    with inv = 1 / sqrt(var + 1e-5). Given the ``stats`` of an earlier call
+    on the same ``x``, it rebuilds that call's xhat bit for bit without
+    another statistics pass."""
+    c = x.shape[-1]
+    mean, inv = (_row_sum(x) / c, None) if stats is None else stats
+    xhat = x - mean
+    if inv is None:
+        var = _row_sum(xhat * xhat) / c
+        inv = 1.0 / np.sqrt(var + np.asarray(_LAYER_NORM_EPS, dtype=x.dtype))
+    xhat *= inv
+    return xhat, (mean, inv)
+
+
+def _ln_affine(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+               out: np.ndarray | None) -> np.ndarray:
+    """``xhat * gain + bias``, written to ``out`` (may be ``xhat``) or a new array."""
+    out = np.multiply(xhat, gain, out=out)
+    out += bias
+    return out
+
+
+def _ln_vjp(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain: np.ndarray, live) -> tuple:
+    """(gx, ggain, gbias) of ``_ln_affine`` after ``_ln_normalize``, for the live ones.
+
+    gx = inv * (gg - gm - xhat * gxm) with gg = g * gain, operand by
+    operand; the incoming g may be another input's gradient too, so only
+    gg is written.
+    """
+    c = xhat.shape[-1]
+    ggain = gbias = gx = None
+    if live[1]:
+        ggain = _col_sum((g * xhat).reshape(-1, c))
+    if live[2]:
+        gbias = _col_sum(g.reshape(-1, c))
+    if live[0]:
+        gg = g * gain
+        gm = _row_sum(gg) / c
+        tmp = np.multiply(gg, xhat)
+        gxm = _row_sum(tmp) / c
+        gx = np.subtract(gg, gm, out=gg)
+        np.multiply(xhat, gxm, out=tmp)
+        gx -= tmp
+        gx *= inv
+    return (gx, ggain, gbias)
+
+
+def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None) -> Tensor:
+    """Normalize the trailing axis to zero mean, unit variance (+1e-5), and
+    return ``xhat * gain + bias`` in the same record.
+
+    ``gain`` and ``bias`` are both (C,), or both omitted. Omitted, they are
+    ones and zeros, so every call runs the one affine body.
+    """
+    gain, bias = _check_layer_norm(x, gain, bias)
+    xhat, (_, inv) = _ln_normalize(x.data, None)
     gd = gain.data
-    out = xhat * gd
-    out += bias.data
 
     def vjp(g, live):
-        # gx = inv * (gg - gm - xhat * gxm) with gg = g * gain, operand by
-        # operand; the incoming g may be another input's gradient too, so
-        # only gg is written
-        ggain = gbias = gx = None
-        if live[1]:
-            ggain = _col_sum((g * xhat).reshape(-1, c))
-        if live[2]:
-            gbias = _col_sum(g.reshape(-1, c))
-        if live[0]:
-            gg = g * gd
-            gm = _row_sum(gg) / c
-            tmp = np.multiply(gg, xhat)
-            gxm = _row_sum(tmp) / c
-            gx = np.subtract(gg, gm, out=gg)
-            np.multiply(xhat, gxm, out=tmp)
-            gx -= tmp
-            gx *= inv
-        return (gx, ggain, gbias)
+        return _ln_vjp(g, xhat, inv, gd, live)
 
-    return _record("layer_norm", out, (x, gain, bias), vjp)
+    return _record("layer_norm", _ln_affine(xhat, gd, bias.data, None), (x, gain, bias), vjp)
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -454,6 +504,38 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", out, (a, b), vjp)
 
 
+def _check_linear(x_shape: tuple, dtype, w: Tensor, b: Tensor) -> None:
+    for t in (w, b):
+        if t.data.dtype != dtype:
+            raise TypeError(f"linear: mixed dtypes {dtype} and {t.data.dtype}")
+    if len(x_shape) < 2 or w.ndim != 2 or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear: need x (..., d_in), w (d_in, d_out), b (d_out,); "
+                         f"got {x_shape}, {w.shape}, {b.shape}")
+    if x_shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear: inner extents {x_shape} x {w.shape} do not match")
+
+
+def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.matmul(x, w)
+    out += b
+    return out
+
+
+def _linear_vjp(g: np.ndarray, x: np.ndarray | None, w: np.ndarray, live) -> tuple:
+    """(gx, gw, gb) of ``_linear``, for the live ones; ``x`` is read only for gw.
+
+    gx is one 2-D GEMM on the rows: ``np.matmul`` runs a 3-D ``g`` against
+    the transposed view ``w.T`` as a stacked matmul, about 2x slower at the
+    model's shapes.
+    """
+    d_in, d_out = w.shape
+    g2 = g.reshape(-1, d_out)
+    gx = (g2 @ w.T).reshape(g.shape[:-1] + (d_in,)) if live[0] else None
+    gw = x.reshape(-1, d_in).T @ g2 if live[1] else None
+    gb = _col_sum(g2) if live[2] else None
+    return (gx, gw, gb)
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map ``x @ w + b`` over the trailing axis, as one tape record.
 
@@ -461,26 +543,45 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     the weight gradient as one GEMM over all leading rows and the bias
     gradient as a column sum of the output gradient's rows.
     """
-    _check_dtypes("linear", x, w)
-    _check_dtypes("linear", x, b)
-    if x.ndim < 2 or w.ndim != 2 or b.shape != w.shape[1:]:
-        raise ShapeError(f"linear: need x (..., d_in), w (d_in, d_out), b (d_out,); "
-                         f"got {x.shape}, {w.shape}, {b.shape}")
-    if x.shape[-1] != w.shape[0]:
-        raise ShapeError(f"linear: inner extents {x.shape} x {w.shape} do not match")
+    _check_linear(x.shape, x.data.dtype, w, b)
     xd, wd = x.data, w.data
-    out = np.matmul(xd, wd)
-    out += b.data
 
     def vjp(g, live):
-        d_in, d_out = wd.shape
-        g2 = g.reshape(-1, d_out)
-        gx = np.matmul(g, wd.T) if live[0] else None
-        gw = xd.reshape(-1, d_in).T @ g2 if live[1] else None
-        gb = _col_sum(g2) if live[2] else None
-        return (gx, gw, gb)
+        return _linear_vjp(g, xd, wd, live)
 
-    return _record("linear", out, (x, w, b), vjp)
+    return _record("linear", _linear(xd, wd, b.data), (x, w, b), vjp)
+
+
+def silu_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``linear(silu(linear(x, w1, b1)), w2, b2)`` as one tape record.
+
+    The record keeps ``x`` alone; the backward rebuilds the hidden state
+    and its SiLU with the forward's own expressions, so the output and
+    every gradient equal the three composed ops' bit for bit. The forward
+    checks each stage's output and names that stage.
+    """
+    _check_linear(x.shape, x.data.dtype, w1, b1)
+    _check_linear(x.shape[:-1] + w1.shape[1:], x.data.dtype, w2, b2)
+    xd, w1d, b1d, w2d = x.data, w1.data, b1.data, w2.data
+    hidden = _linear(xd, w1d, b1d)
+    _assert_finite("linear", hidden)
+    act = _silu(hidden)
+    del hidden
+    _assert_finite("silu", act)
+    out = _linear(act, w2d, b2.data)
+    del act
+
+    def vjp(g, live):
+        hidden = _linear(xd, w1d, b1d)
+        act = _silu(hidden) if live[3] else None
+        gact, gw2, gb2 = _linear_vjp(g, act, w2d, (any(live[:3]), live[3], live[4]))
+        del act
+        gx = gw1 = gb1 = None
+        if gact is not None:
+            gx, gw1, gb1 = _linear_vjp(_silu_vjp(gact, hidden), xd, w1d, live[:3])
+        return (gx, gw1, gb1, gw2, gb2)
+
+    return _record("linear", out, (x, w1, b1, w2, b2), vjp)
 
 
 def _space_to_depth(a: np.ndarray, s: int, pad: int) -> np.ndarray:
@@ -578,6 +679,91 @@ def _row_shift_conv(a: np.ndarray, ph: int, pw: int, w: np.ndarray, b: np.ndarra
     return np.add(cropped.reshape(n, oh, ow * co), np.tile(b, ow)).reshape(n, oh, ow, co)
 
 
+def _check_conv(x: Tensor, w: Tensor, b: Tensor | None, stride, padding) -> Tensor:
+    """Check a conv's operands; returns its bias, zeros when omitted."""
+    _check_dtypes("conv2d", x, w)
+    for name, value in (("stride", stride), ("padding", padding)):
+        if not isinstance(value, (int, np.integer)):
+            raise ShapeError(f"conv2d: {name} must be an integer, got {value!r}")
+    if stride < 1:
+        raise ShapeError(f"conv2d: stride must be >= 1, got {stride}")
+    if padding < 0:
+        raise ShapeError(f"conv2d: padding must be >= 0, got {padding}")
+    if w.ndim != 4:
+        raise ShapeError("conv2d: weight must be (kh, kw, C_in, C_out)")
+    if x.ndim != 4:
+        raise ShapeError("conv2d: input must be (N, H, W, C)")
+    if not x.size:
+        raise ShapeError(f"conv2d: input {x.shape} has an extent of 0")
+    if not w.size:
+        raise ShapeError(f"conv2d: kernel {w.shape} has an extent of 0")
+    _, h, wd, ci = x.shape
+    kh, kw, ci_w, co = w.shape
+    if ci != ci_w:
+        raise ShapeError(f"conv2d: input channels {ci} != kernel channels {ci_w}")
+    if b is None:
+        b = Tensor._wrap(np.zeros(co, dtype=x.data.dtype))
+    _check_dtypes("conv2d", x, b)
+    if b.shape != (co,):
+        raise ShapeError(f"conv2d: bias must be ({co},), got {b.shape}")
+    hp, wp = h + 2 * padding, wd + 2 * padding
+    if hp < kh or wp < kw:
+        raise ShapeError("conv2d: kernel larger than padded input")
+    if (hp - kh) % stride or (wp - kw) % stride:
+        raise ShapeError("conv2d: non-integral output extent")
+    return b
+
+
+def _conv_blocks(x: np.ndarray, stride: int, padding: int) -> np.ndarray:
+    """The input cut into stride x stride blocks, padded there at stride > 1."""
+    return _space_to_depth(x, stride, padding if stride > 1 else 0)
+
+
+def _conv_kernel(w: np.ndarray, stride: int) -> np.ndarray:
+    """(kh, kw, C_in, C_out) ``w`` cut into blocks: (kbh, kbw, s * s * C_in, C_out)."""
+    kh, kw, ci, co = w.shape
+    folded = _space_to_depth(w.reshape(1, kh, kw, ci * co), stride, 0)
+    return folded.reshape(-(-kh // stride), -(-kw // stride), stride * stride * ci, co)
+
+
+def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, padding: int) -> np.ndarray:
+    pad = padding if stride == 1 else 0  # the windows' padding; the blocks take the rest
+    return _row_shift_conv(_conv_blocks(x, stride, padding), pad, pad, _conv_kernel(w, stride), b)
+
+
+def _conv_vjp(g: np.ndarray, x: np.ndarray | None, w: np.ndarray, stride: int, padding: int,
+              live) -> tuple:
+    """(gx, gw, gb) of ``_conv``, for the live ones; ``x`` is read only for gw."""
+    n, oh, ow, co = g.shape
+    kh, kw, ci, _ = w.shape
+    kbh, kbw = -(-kh // stride), -(-kw // stride)  # the kernel's extent in blocks
+    hb = oh + kbh - 1  # the padded input's height in blocks
+    pad = padding if stride == 1 else 0
+    gmat = np.ascontiguousarray(g).reshape(n * oh * ow, co)
+    gw = gx = gb = None
+    if live[1]:
+        windows = _row_windows(_conv_blocks(x, stride, padding), kbw, pad, pad)
+        windows = windows.reshape(-1, kbw * stride * stride * ci)
+        ggrid = gmat
+        if kbh > 1:
+            ggrid = np.zeros((n, hb, ow, co), dtype=g.dtype)
+            ggrid[:, :oh] = g
+            ggrid = ggrid.reshape(-1, co)
+        rows = (n * hb - kbh + 1) * ow
+        gw = np.stack([windows[i * ow : i * ow + rows].T @ ggrid[:rows] for i in range(kbh)])
+        gw = _depth_to_space(gw.reshape(1, kbh, kbw, -1), stride, 0, kh, kw).reshape(kh, kw, ci, co)
+        del windows, ggrid  # not alive alongside the input gradient's windows
+    if live[2]:
+        gb = _col_sum(gmat)
+    if live[0]:
+        flipped = _conv_kernel(w, stride)[::-1, ::-1].transpose(0, 1, 3, 2)
+        gx = _row_shift_conv(g, kbh - 1 - pad, kbw - 1 - pad, flipped, None)
+        h = (oh - 1) * stride + kh - 2 * padding
+        wd = (ow - 1) * stride + kw - 2 * padding
+        gx = _depth_to_space(gx, stride, padding - pad, h, wd)
+    return (gx, gw, gb)
+
+
 def conv2d_nhwc(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
                 padding: int = 0) -> Tensor:
     """2-D cross-correlation on channels-last input, as one tape record.
@@ -609,75 +795,50 @@ def conv2d_nhwc(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 
     windows. The bias gradient is a column sum of the output gradient's
     rows. The output is checked for non-finite values.
     """
-    _check_dtypes("conv2d", x, w)
-    for name, value in (("stride", stride), ("padding", padding)):
-        if not isinstance(value, (int, np.integer)):
-            raise ShapeError(f"conv2d: {name} must be an integer, got {value!r}")
-    if stride < 1:
-        raise ShapeError(f"conv2d: stride must be >= 1, got {stride}")
-    if padding < 0:
-        raise ShapeError(f"conv2d: padding must be >= 0, got {padding}")
-    if w.ndim != 4:
-        raise ShapeError("conv2d: weight must be (kh, kw, C_in, C_out)")
-    if x.ndim != 4:
-        raise ShapeError("conv2d: input must be (N, H, W, C)")
-    if not x.size:
-        raise ShapeError(f"conv2d: input {x.shape} has an extent of 0")
-    if not w.size:
-        raise ShapeError(f"conv2d: kernel {w.shape} has an extent of 0")
-    n, h, wd, ci = x.shape
-    kh, kw, ci_w, co = w.shape
-    if ci != ci_w:
-        raise ShapeError(f"conv2d: input channels {ci} != kernel channels {ci_w}")
-    if b is None:
-        b = Tensor._wrap(np.zeros(co, dtype=x.data.dtype))
-    _check_dtypes("conv2d", x, b)
-    if b.shape != (co,):
-        raise ShapeError(f"conv2d: bias must be ({co},), got {b.shape}")
-    hp, wp = h + 2 * padding, wd + 2 * padding
-    if hp < kh or wp < kw:
-        raise ShapeError("conv2d: kernel larger than padded input")
-    if (hp - kh) % stride or (wp - kw) % stride:
-        raise ShapeError("conv2d: non-integral output extent")
-    oh = (hp - kh) // stride + 1
-    ow = (wp - kw) // stride + 1
-    kbh, kbw = -(-kh // stride), -(-kw // stride)  # the kernel's extent in blocks
-    hb = oh + kbh - 1  # the padded input's height in blocks
-    pad = padding if stride == 1 else 0  # the windows' padding; the blocks take the rest
-    x_data, w_data = x.data, w.data
-
-    def blocks():
-        return _space_to_depth(x_data, stride, padding - pad)
-
-    def kernel():
-        folded = _space_to_depth(w_data.reshape(1, kh, kw, ci * co), stride, 0)
-        return folded.reshape(kbh, kbw, stride * stride * ci, co)
-
-    out = _row_shift_conv(blocks(), pad, pad, kernel(), b.data)
+    b = _check_conv(x, w, b, stride, padding)
+    xd, wd = x.data, w.data
 
     def vjp(g, live):
-        gmat = np.ascontiguousarray(g).reshape(n * oh * ow, co)
-        gw = gx = gb = None
-        if live[1]:
-            windows = _row_windows(blocks(), kbw, pad, pad).reshape(-1, kbw * stride * stride * ci)
-            ggrid = gmat
-            if kbh > 1:
-                ggrid = np.zeros((n, hb, ow, co), dtype=g.dtype)
-                ggrid[:, :oh] = g
-                ggrid = ggrid.reshape(-1, co)
-            rows = (n * hb - kbh + 1) * ow
-            gw = np.stack([windows[i * ow : i * ow + rows].T @ ggrid[:rows] for i in range(kbh)])
-            gw = _depth_to_space(gw.reshape(1, kbh, kbw, -1), stride, 0, kh, kw).reshape(kh, kw, ci, co)
-            del windows, ggrid  # not alive alongside the input gradient's windows
-        if live[2]:
-            gb = _col_sum(gmat)
-        if live[0]:
-            flipped = kernel()[::-1, ::-1].transpose(0, 1, 3, 2)
-            gx = _row_shift_conv(g, kbh - 1 - pad, kbw - 1 - pad, flipped, None)
-            gx = _depth_to_space(gx, stride, padding - pad, h, wd)
-        return (gx, gw, gb)
+        return _conv_vjp(g, xd, wd, stride, padding, live)
 
-    return _record("conv2d", out, (x, w, b), vjp)
+    return _record("conv2d", _conv(xd, wd, b.data, stride, padding), (x, w, b), vjp)
+
+
+def norm_silu_conv2d(x: Tensor, gain: Tensor, bias: Tensor, w: Tensor, b: Tensor, *,
+                     padding: int) -> Tensor:
+    """``conv2d_nhwc(silu(layer_norm(x, gain, bias)), w, b, padding=padding)``
+    at stride 1, as one tape record.
+
+    The record keeps ``x`` and the row mean and 1/sigma; the backward
+    rebuilds the normalized input, the affine output and its SiLU with
+    the forward's own expressions, so the output and every gradient equal
+    the three composed ops' bit for bit. The forward checks each stage's
+    output and names that stage.
+    """
+    _check_layer_norm(x, gain, bias)
+    _check_conv(x, w, b, 1, padding)
+    xd, gd, bd, wd = x.data, gain.data, bias.data, w.data
+    xhat, stats = _ln_normalize(xd, None)
+    act = _ln_affine(xhat, gd, bd, xhat)
+    del xhat
+    _assert_finite("layer_norm", act)
+    act = _silu(act)
+    _assert_finite("silu", act)
+    out = _conv(act, wd, b.data, 1, padding)
+    del act
+
+    def vjp(g, live):
+        xhat, _ = _ln_normalize(xd, stats)
+        normed = _ln_affine(xhat, gd, bd, None)
+        act = _silu(normed) if live[3] else None
+        gact, gw, gb = _conv_vjp(g, act, wd, 1, padding, (any(live[:3]), live[3], live[4]))
+        del act
+        gx = ggain = gbias = None
+        if gact is not None:
+            gx, ggain, gbias = _ln_vjp(_silu_vjp(gact, normed), xhat, stats[1], gd, live[:3])
+        return (gx, ggain, gbias, gw, gb)
+
+    return _record("conv2d", out, (x, gain, bias, w, b), vjp)
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:

@@ -3,6 +3,7 @@ registry, golden outputs, gradients against finite differences, and
 checkpoint loading."""
 
 import tracemalloc
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -218,9 +219,9 @@ def test_param_names_and_shapes_match_golden_list():
 
 def _default_train_forward():
     """The default float32 model and a B=2 batch, built once; returns a
-    function that records encode, dropout, fuse, forward_diffuse,
-    predict_eps and the eps-MSE loss on a fresh tape and returns the tape
-    and the loss."""
+    function that runs encode, dropout, fuse, forward_diffuse, predict_eps
+    and the eps-MSE loss inside the context it is given, a fresh
+    ``GradTape`` to record them, and returns that context and the loss."""
     config = ModelConfig()
     model = DiffusionModel(config, rng=Rng(0), dtype=np.float32)
     cond = model.conditioner
@@ -232,8 +233,8 @@ def _default_train_forward():
     t = 1 + rng.integers(2, config.total_steps)
     eps = Tensor(rng.gaussian(x0.shape, dtype=np.float32))
 
-    def forward() -> GradTape:
-        with GradTape() as tape:
+    def forward(context):
+        with context as tape:
             text, image, _ = cond.apply_condition_dropout(
                 cond.encode_prompt(prompts), cond.encode_image(layouts), rng, 0.1, 0.1)
             x_t = forward_diffuse(x0, t, eps, model.schedule)
@@ -244,29 +245,32 @@ def _default_train_forward():
     return forward
 
 
-def test_a_default_train_step_puts_271_records_on_the_tape():
+def test_a_default_train_step_puts_217_records_on_the_tape():
     # the count does not depend on the batch, and a lost fusion of an op
-    # into its layer's record raises it
-    tape, _ = _default_train_forward()()
-    assert len(tape._records) == 271
+    # into its layer's record raises it: each ResBlock half and each MLP is
+    # one record (271 while they were three each)
+    tape, _ = _default_train_forward()(GradTape())
+    assert len(tape._records) == 217
 
 
 # bytes a default B=2 train forward leaves live, nearly all of them on the
 # tape: what the vjps keep (13.78 MB while every conv kept its im2col
 # columns and silu its sigmoid, 6.94 MB while every record also kept its
-# inputs and output, 5.22 MB since), and the tracemalloc peak of its
-# backward, which frees each record as it consumes it (8.77 MB while the
-# tape was kept whole until the end, 5.35 MB since)
-TAPE_BYTES_PIN = 5.6e6
-BACKWARD_PEAK_BYTES_PIN = 5.8e6
+# inputs and output, 5.22 MB while each ResBlock half and each MLP kept its
+# normalized input, hidden state and activation, 3.23 MB since), and the
+# tracemalloc peak of its backward, which frees each record as it consumes
+# it (8.77 MB while the tape was kept whole until the end, 5.35 MB before
+# the fused records, 3.64 MB since)
+TAPE_BYTES_PIN = 3.5e6
+BACKWARD_PEAK_BYTES_PIN = 4.0e6
 
 
 def test_the_tape_of_a_default_train_step_stays_under_its_pin():
     forward = _default_train_forward()
-    forward()  # lazy set-up outside the count
+    forward(GradTape())  # lazy set-up outside the count
     tracemalloc.start()
     try:
-        tape, loss = forward()
+        tape, loss = forward(GradTape())
         held = tracemalloc.get_traced_memory()[0]
         records = len(tape._records)
         tracemalloc.reset_peak()
@@ -274,7 +278,7 @@ def test_the_tape_of_a_default_train_step_stays_under_its_pin():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert records == 271 and len(grads) == 288
+    assert records == 217 and len(grads) == 288
     assert held < TAPE_BYTES_PIN, (
         f"a default B=2 train forward leaves {held / 1e6:.2f} MB live, over the "
         f"{TAPE_BYTES_PIN / 1e6} MB pin: keep less on the tape, or move TAPE_BYTES_PIN "
@@ -283,6 +287,27 @@ def test_the_tape_of_a_default_train_step_stays_under_its_pin():
         f"the backward of a default B=2 train step peaks at {peak / 1e6:.2f} MB, over the "
         f"{BACKWARD_PEAK_BYTES_PIN / 1e6} MB pin: free each record as it is consumed, or move "
         f"BACKWARD_PEAK_BYTES_PIN in the same diff and say why in CHANGES.md")
+
+
+# the tracemalloc peak of the same forward with no tape, which falls in a
+# level-0 ResBlock half (0.50 MB, as for the composed ops): a fused record
+# that kept its normalized map alive through its conv reads 0.63 MB
+NO_TAPE_PEAK_BYTES_PIN = 0.56e6
+
+
+def test_a_default_forward_without_a_tape_stays_under_its_peak_pin():
+    forward = _default_train_forward()
+    forward(nullcontext())  # lazy set-up outside the count
+    tracemalloc.start()
+    try:
+        forward(nullcontext())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < NO_TAPE_PEAK_BYTES_PIN, (
+        f"a default B=2 train forward with no tape peaks at {peak / 1e6:.2f} MB, over the "
+        f"{NO_TAPE_PEAK_BYTES_PIN / 1e6} MB pin: free each stage's intermediates before the next, "
+        f"or move NO_TAPE_PEAK_BYTES_PIN in the same diff and say why in CHANGES.md")
 
 
 def test_tiny_config_registers_the_same_names():

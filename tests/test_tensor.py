@@ -209,11 +209,14 @@ def test_a_nan_or_inf_op_output_raises_naming_the_op(op, x, name):
         op(Tensor(x))
 
 
+# the screen runs under pytest's filterwarnings = error, so a numpy whose
+# vdot warned on overflow would fail here
 def test_a_finite_output_whose_squares_overflow_does_not_raise():
-    x = np.array([1e20, -1.0], dtype=np.float32)
-    with np.errstate(over="ignore"):
-        assert not np.isfinite(np.dot(x, x))
-    assert np.array_equal(scale(Tensor(x), 1.0).data, x)
+    for values in ([1e20, -1.0], [3.0e38, -3.0e38, 1.0]):
+        x = np.array(values, dtype=np.float32)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.dot(x, x))
+        assert np.array_equal(scale(Tensor(x), 1.0).data, x)
 
 
 def test_conv2d_identity_kernel():
