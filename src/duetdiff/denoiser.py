@@ -22,7 +22,7 @@ import numpy as np
 
 from .nn import Attention, Conv2dLayer, LayerNormAffine, Linear, Mlp, timestep_embedding
 from .rng import Rng
-from .tensor import Tensor, add, concat, norm_silu_conv2d, reshape, silu, transpose, upsample2x
+from .tensor import Tensor, add, concat, norm_silu_conv2d, reshape, silu, silu_mlp, transpose, upsample2x
 
 if TYPE_CHECKING:
     from .model import ModelConfig
@@ -148,9 +148,11 @@ class Denoiser:
         return blocks
 
     def time_features(self, t) -> Tensor:
-        """Activated features silu(time_fc2(silu(time_fc1(emb)))) for every ResBlock."""
+        """Activated features silu(time_fc2(silu(time_fc1(emb)))) for every ResBlock,
+        the inner three as one ``silu_mlp`` record."""
         emb = Tensor(timestep_embedding(t, self.config.temb_dim, dtype=self.time_fc1.w.dtype))
-        return silu(self.time_fc2(silu(self.time_fc1(emb))))
+        fc1, fc2 = self.time_fc1, self.time_fc2
+        return silu(silu_mlp(emb, fc1.w, fc1.b, fc2.w, fc2.b))
 
     def __call__(self, x: Tensor, t, cond: Tensor) -> Tensor:
         """x is (N, C, H, W); t is an int (any 0-d value) or an (N,) array; cond is (N, L, d)."""

@@ -32,6 +32,9 @@ from .tensor import (
     silu_mlp,
 )
 
+# the walk's own package root, so a copy imported under another name walks its own layers
+_PACKAGE = __name__.partition(".")[0]
+
 
 def trunc_normal(rng: Rng, shape, dtype=np.float64) -> np.ndarray:
     """Normal(0, 0.02) with values beyond 2 std redrawn."""
@@ -154,7 +157,7 @@ def named_params(obj, prefix: str) -> dict:
     """name -> Tensor leaf reachable from ``obj``, in attribute order.
 
     Names are attribute paths joined by dots; list indices and dict keys
-    are path segments. The walk descends into duetdiff objects, lists,
+    are path segments. The walk descends into objects of this package, lists,
     tuples and dicts only, and never into a Tensor. Tracked and untracked
     leaves alike are returned; ``requires_grad`` tells them apart.
     """
@@ -164,7 +167,7 @@ def named_params(obj, prefix: str) -> dict:
         items = obj.items()
     elif isinstance(obj, (list, tuple)):
         items = enumerate(obj)
-    elif type(obj).__module__.startswith("duetdiff."):
+    elif type(obj).__module__.partition(".")[0] == _PACKAGE:
         items = vars(obj).items()
     else:
         return {}

@@ -4,13 +4,14 @@ Data lives in numpy arrays (float32 for training, float64 for verification);
 every differentiable primitive records a vector-Jacobian closure on the
 active ``GradTape``. Ops are pure and fail fast on NaN/Inf outputs. Ops take
 Tensors only: a python scalar enters through ``scale``, and ``add``, ``sub``
-and ``mul`` raise ``TypeError`` on any other operand. There is one stack of
-active tapes per process; the innermost ``GradTape`` block records.
+and ``mul`` raise ``TypeError`` on any other operand. One ``GradTape``
+records at a time; tapes do not nest.
 
-A record keeps only what its vjp reads. Its output and its inputs are
-integer keys, not Tensors, so ``add``, ``reshape``, ``concat`` and the like
-keep shapes only, and an activation that no vjp reads is freed as soon as
-the forward drops it. What a vjp does read is kept, unless one pass over
+A record keeps only what its vjp reads. It is its inputs' keys and its
+vjp: an op output's key is its record's index and a tracked leaf is its
+own key, so ``add``, ``reshape``, ``concat`` and the like keep shapes
+only, and an activation that no vjp reads is freed as soon as the forward
+drops it. What a vjp does read is kept, unless one pass over
 it rebuilds it: ``conv2d_nhwc`` gathers its input windows again in the
 backward and ``silu`` recomputes its sigmoid, while ``layer_norm`` keeps
 its normalized input and ``attention`` its softmax weights. Two fused
@@ -87,7 +88,7 @@ class TapeError(RuntimeError):
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 _LAYER_NORM_EPS = 1e-5
-_TAPES: list = []
+_ACTIVE = None  # the GradTape that is recording, if any
 
 
 def _assert_finite(op: str, data: np.ndarray) -> None:
@@ -158,41 +159,37 @@ class GradTape:
     """Ordered record of primitive ops; replayed in reverse by ``backward``.
 
     Single-use: one backward pass consumes the tape. Use as a context
-    manager so ops executed inside the block are recorded.
+    manager so ops executed inside the block are recorded. Entering a tape
+    while another records, or exiting one that does not, raises TapeError.
 
-    A record is ``(output key, input keys, vjp, live)``, and holds no
-    Tensor. An op's output gets the key ``-1 - i`` for its record's index
-    i, kept in ``Tensor._key``. A leaf that requires grad is keyed by its
-    id, which CPython keeps non-negative, and the tape holds the leaf in
-    ``_leaves`` so that the id is not reused while the tape lives. An
-    input that is not live has the key ``None``. ``backward`` pops each
-    record as it consumes it.
+    A record is ``(input keys, vjp)`` and holds no op output: an input's
+    key is its record's index if it is an output of this tape
+    (``Tensor._key``), itself if it is a leaf that requires grad, and
+    ``None`` otherwise. ``backward`` pops each record as it consumes it.
     """
 
     def __init__(self):
         self._records = []
-        self._leaves: dict[int, Tensor] = {}
         self._consumed = False
 
     def __enter__(self) -> "GradTape":
-        _TAPES.append(self)
+        global _ACTIVE
+        if _ACTIVE is not None:
+            raise TapeError("a tape is already recording; tapes do not nest")
+        _ACTIVE = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if not _TAPES or _TAPES[-1] is not self:
-            raise TapeError("tape context exited out of order")
-        _TAPES.pop()
-        return False
+        global _ACTIVE
+        if _ACTIVE is not self:
+            raise TapeError("exited a tape that is not recording")
+        _ACTIVE = None
 
-    def _live(self, t: Tensor) -> bool:
-        return t.requires_grad or t._tape is self
-
-    def _key_of(self, t: Tensor) -> int:
-        """The key of a live Tensor: its output key, or a leaf's id."""
+    def _key_of(self, t: Tensor):
+        """``t``'s record index on this tape, ``t`` for a tracked leaf, else None."""
         if t._tape is self:
             return t._key
-        self._leaves[id(t)] = t
-        return id(t)
+        return t if t.requires_grad else None
 
     def backward(self, loss: Tensor) -> dict:
         """Gradients of a scalar loss for every tracked leaf on this tape."""
@@ -200,30 +197,29 @@ class GradTape:
             raise TapeError("gradient tape already consumed")
         if loss.data.size != 1:
             raise TapeError("backward requires a scalar loss")
-        if not self._live(loss):
+        loss_key = self._key_of(loss)
+        if loss_key is None:
             raise TapeError("loss is not tracked on this tape")
         self._consumed = True
 
-        grads: dict[int, np.ndarray] = {self._key_of(loss): np.ones_like(loss.data)}
+        # in reverse, a record is reached after every consumer of its output
+        grads = {loss_key: np.ones_like(loss.data)}
         records = self._records
         while records:
-            out_key, in_keys, vjp, live = records.pop()
-            g = grads.pop(out_key, None)
+            in_keys, vjp = records.pop()
+            g = grads.pop(len(records), None)
             if g is None:
                 continue
+            live = tuple(key is not None for key in in_keys)
             for key, gi in zip(in_keys, vjp(g, live)):
-                if gi is None:
-                    continue
-                if key in grads:
-                    grads[key] = grads[key] + gi
-                else:
-                    grads[key] = gi
-        leaves, self._leaves = self._leaves, {}
-        return {t: grads[key] for key, t in leaves.items() if key in grads}
+                if gi is not None:
+                    prev = grads.get(key)
+                    grads[key] = gi if prev is None else prev + gi
+        return grads
 
 
 def _record(name: str, out_data: np.ndarray, inputs: tuple, vjp, check: bool = True) -> Tensor:
-    """Wrap an op result; register its vjp on the active tape if needed.
+    """Wrap an op result; register its vjp on the recording tape if needed.
 
     Pure data-movement ops pass check=False: they cannot introduce
     non-finite values, so the finite guarantee carries over from inputs.
@@ -231,14 +227,13 @@ def _record(name: str, out_data: np.ndarray, inputs: tuple, vjp, check: bool = T
     if check:
         _assert_finite(name, out_data)
     out = Tensor._wrap(out_data)
-    if _TAPES:
-        tape = _TAPES[-1]
-        live = tuple(tape._live(t) for t in inputs)
-        if any(live):
+    tape = _ACTIVE
+    if tape is not None:
+        in_keys = tuple(tape._key_of(t) for t in inputs)
+        if any(key is not None for key in in_keys):
             out._tape = tape
-            out._key = -1 - len(tape._records)
-            in_keys = tuple(tape._key_of(t) if is_live else None for t, is_live in zip(inputs, live))
-            tape._records.append((out._key, in_keys, vjp, live))
+            out._key = len(tape._records)
+            tape._records.append((in_keys, vjp))
     return out
 
 

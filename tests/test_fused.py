@@ -142,7 +142,9 @@ def test_each_fused_chain_is_one_record_that_keeps_its_input_and_row_stats():
             op(*leaves)
         assert len(tape._records) == 1
         kept = []
-        for cell in tape._records[0][2].__closure__:
+        in_keys, vjp = tape._records[0]
+        assert in_keys == tuple(leaves)  # each tracked leaf is its own key
+        for cell in vjp.__closure__:
             value = cell.cell_contents
             kept += value if isinstance(value, tuple) else [value]
         inputs = [leaf.data for leaf in leaves]

@@ -389,27 +389,73 @@ def test_untracked_loss_rejected():
         tape.backward(loss)
 
 
-def test_an_inner_tape_records_only_its_own_ops_and_tapes_exit_in_order():
+def test_a_second_tape_cannot_start_while_one_records():
     x = Tensor(np.ones(3), requires_grad=True)
-    outer, inner = GradTape(), GradTape()
-    with outer:
+    with GradTape() as outer:
         y = mul(x, x)
-        with inner:
-            z = mul(x, x)
-            untracked = mul(y, y)  # y lives on the outer tape only
-        assert [r[0] for r in outer._records] == [y._key]
-        assert [r[0] for r in inner._records] == [z._key]
-        assert y._tape is outer and z._tape is inner and untracked._tape is None
-        assert untracked._key is None
-    outer.__enter__()
-    inner.__enter__()
-    try:
-        with pytest.raises(TapeError, match="out of order"):
-            outer.__exit__(None, None, None)
-    finally:
-        inner.__exit__(None, None, None)
-        outer.__exit__(None, None, None)
+        with pytest.raises(TapeError, match="do not nest"):
+            with GradTape():
+                pass
+        loss = tsum(y)  # the first tape keeps recording
+    assert len(outer._records) == 2 and loss._tape is outer
+    assert np.array_equal(outer.backward(loss)[x], np.full(3, 2.0))
+
+
+def test_exiting_a_tape_that_is_not_recording_raises():
+    tape = GradTape()
+    with pytest.raises(TapeError, match="not recording"):
+        tape.__exit__(None, None, None)
+    with tape:
+        pass
+    with pytest.raises(TapeError, match="not recording"):
+        tape.__exit__(None, None, None)
+
+
+def test_an_exception_inside_a_tape_leaves_no_tape_recording():
+    x = Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(ShapeError):
+        with GradTape():
+            reshape(mul(x, x), (2, 2))
     assert mul(x, x)._tape is None
+    with GradTape() as tape:
+        loss = tsum(mul(x, x))
+    assert np.array_equal(tape.backward(loss)[x], np.full(3, 2.0))
+
+
+def test_an_output_of_an_earlier_tape_is_not_live_on_a_new_one():
+    x = Tensor(np.ones(3), requires_grad=True)
+    with GradTape() as first:
+        y = mul(x, x)
+        first_loss = tsum(y)
+    first.backward(first_loss)
+    with GradTape() as second:
+        z = tsum(y)
+    assert z._tape is None and not second._records
+    with pytest.raises(TapeError, match="not tracked"):
+        second.backward(z)
+
+
+def test_backward_returns_exactly_the_leaves_that_received_a_gradient():
+    x = Tensor(np.ones(3), requires_grad=True)
+    w = Tensor(np.full(3, 2.0), requires_grad=True)
+    before = Tensor(np.ones(3), requires_grad=True)
+    untracked = mul(before, before)  # made before the tape: not live on it
+    unused = Tensor(np.ones(3), requires_grad=True)
+    with GradTape() as tape:
+        dead = mul(unused, unused)  # recorded, but the loss does not read it
+        loss = tsum(mul(x, add(w, untracked)))
+    assert dead._tape is tape
+    grads = tape.backward(loss)
+    assert set(grads) == {x, w}  # no other leaf, and no record index, is left
+    assert np.array_equal(grads[x], w.data + 1.0) and np.array_equal(grads[w], x.data)
+
+
+def test_a_loss_that_is_itself_a_leaf_has_gradient_one():
+    loss = Tensor(np.asarray(3.0), requires_grad=True)
+    with GradTape() as tape:
+        pass
+    grads = tape.backward(loss)
+    assert list(grads) == [loss] and np.array_equal(grads[loss], np.ones(()))
 
 
 def test_ops_outside_tape_record_nothing():
@@ -431,9 +477,8 @@ def test_the_tape_frees_an_output_that_no_vjp_reads():
 
 
 def test_a_long_chain_of_dropped_temporaries_matches_finite_differences():
-    # every step makes and drops a requires-grad leaf and four op outputs, so
-    # ids are freed and reused across the chain; the tape must keep each
-    # dropped leaf's gradient apart and x's gradient exact
+    # every step makes and drops a requires-grad leaf and four op outputs;
+    # the tape must keep each dropped leaf's gradient apart and x's exact
     steps = 200
     rng = Rng(39)
     x0 = _rand(rng, (3,))
