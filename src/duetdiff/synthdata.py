@@ -131,7 +131,7 @@ class Sample:
     prompt: list[str]
 
 
-def generate_dataset(n: int, canvas: int, seed: int, namespace: str = "scene") -> list[Sample]:
+def generate_dataset(n: int, canvas: int, seed: int, namespace: str) -> list[Sample]:
     """n deterministic samples; index i uses the stream split(f"{namespace}/{i}").
 
     Per-index streams make generation order-independent and parallelizable.

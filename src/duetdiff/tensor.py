@@ -1,11 +1,17 @@
 """Dense float tensors with reverse-mode autodiff on an explicit tape.
 
-Data lives in numpy arrays (float32 for training, float64 for verification);
-every differentiable primitive records a vector-Jacobian closure on the
-active ``GradTape``. Ops are pure and fail fast on NaN/Inf outputs. Ops take
-Tensors only: a python scalar enters through ``scale``, and ``add``, ``sub``
-and ``mul`` raise ``TypeError`` on any other operand. One ``GradTape``
-records at a time; tapes do not nest.
+Data lives in numpy arrays (float32 for training, float64 for
+verification); a ``Tensor`` of any other dtype raises ``TypeError`` rather
+than being cast. Every differentiable primitive records a vector-Jacobian
+closure on the active ``GradTape``. Ops are pure and fail fast on NaN/Inf
+outputs. Ops take Tensors only: a python scalar enters through ``scale``,
+and ``add``, ``sub`` and ``mul`` raise ``TypeError`` on any other operand.
+An op's operands share one dtype, checked once per op by
+``_check_dtypes``, and a reduction over an empty axis raises
+``ShapeError`` naming the op. The only operands a caller may omit are
+``layer_norm``'s gain and bias; ``conv2d_nhwc`` takes its bias, stride and
+padding on every call. One ``GradTape`` records at a time; tapes do not
+nest.
 
 A record keeps only what its vjp reads. It is its inputs' keys and its
 vjp: an op output's key is its record's index and a tracked leaf is its
@@ -113,7 +119,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
-            arr = arr.astype(np.float64)
+            raise TypeError(f"Tensor: data must be float32 or float64, got {arr.dtype}")
         self.data = arr
         self.requires_grad = requires_grad
         self._tape = None
@@ -237,9 +243,17 @@ def _record(name: str, out_data: np.ndarray, inputs: tuple, vjp, check: bool = T
     return out
 
 
-def _check_dtypes(name: str, a: Tensor, b: Tensor) -> None:
-    if a.data.dtype != b.data.dtype:
-        raise TypeError(f"{name}: mixed dtypes {a.data.dtype} and {b.data.dtype}")
+def _check_dtypes(name: str, *tensors: Tensor) -> None:
+    """Every operand of op ``name`` has the first one's dtype."""
+    for t in tensors[1:]:
+        if t.data.dtype != tensors[0].data.dtype:
+            raise TypeError(f"{name}: mixed dtypes {tensors[0].data.dtype} and {t.data.dtype}")
+
+
+def _check_rows(name: str, x: Tensor) -> None:
+    """``x`` has a trailing axis, of extent >= 1, for op ``name`` to reduce."""
+    if not x.ndim or not x.shape[-1]:
+        raise ShapeError(f"{name}: input {x.shape} has no trailing axis to reduce")
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -385,12 +399,12 @@ def _check_layer_norm(x: Tensor, gain: Tensor | None, bias: Tensor | None) -> tu
     """``gain`` and ``bias`` for ``x``, ones and zeros when both are omitted."""
     if (gain is None) != (bias is None):
         raise ShapeError("layer_norm: pass both gain and bias, or neither")
+    _check_rows("layer_norm", x)
     c = x.shape[-1]
     if gain is None:
         gain = Tensor._wrap(np.ones(c, dtype=x.data.dtype))
         bias = Tensor._wrap(np.zeros(c, dtype=x.data.dtype))
-    _check_dtypes("layer_norm", x, gain)
-    _check_dtypes("layer_norm", x, bias)
+    _check_dtypes("layer_norm", x, gain, bias)
     if gain.shape != (c,) or bias.shape != (c,):
         raise ShapeError(f"layer_norm: gain and bias must be ({c},); got {gain.shape}, {bias.shape}")
     return gain, bias
@@ -463,6 +477,7 @@ def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None
 
 def softmax(x: Tensor) -> Tensor:
     """Max-shifted softmax over the trailing axis."""
+    _check_rows("softmax", x)
     out = _softmax_rows(x.data)
 
     def vjp(g, live):
@@ -499,10 +514,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", out, (a, b), vjp)
 
 
-def _check_linear(x_shape: tuple, dtype, w: Tensor, b: Tensor) -> None:
-    for t in (w, b):
-        if t.data.dtype != dtype:
-            raise TypeError(f"linear: mixed dtypes {dtype} and {t.data.dtype}")
+def _check_linear(x_shape: tuple, w: Tensor, b: Tensor) -> None:
     if len(x_shape) < 2 or w.ndim != 2 or b.shape != w.shape[1:]:
         raise ShapeError(f"linear: need x (..., d_in), w (d_in, d_out), b (d_out,); "
                          f"got {x_shape}, {w.shape}, {b.shape}")
@@ -538,7 +550,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     the weight gradient as one GEMM over all leading rows and the bias
     gradient as a column sum of the output gradient's rows.
     """
-    _check_linear(x.shape, x.data.dtype, w, b)
+    _check_dtypes("linear", x, w, b)
+    _check_linear(x.shape, w, b)
     xd, wd = x.data, w.data
 
     def vjp(g, live):
@@ -555,8 +568,9 @@ def silu_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tenso
     every gradient equal the three composed ops' bit for bit. The forward
     checks each stage's output and names that stage.
     """
-    _check_linear(x.shape, x.data.dtype, w1, b1)
-    _check_linear(x.shape[:-1] + w1.shape[1:], x.data.dtype, w2, b2)
+    _check_dtypes("linear", x, w1, b1, w2, b2)
+    _check_linear(x.shape, w1, b1)
+    _check_linear(x.shape[:-1] + w1.shape[1:], w2, b2)
     xd, w1d, b1d, w2d = x.data, w1.data, b1.data, w2.data
     hidden = _linear(xd, w1d, b1d)
     _assert_finite("linear", hidden)
@@ -674,9 +688,8 @@ def _row_shift_conv(a: np.ndarray, ph: int, pw: int, w: np.ndarray, b: np.ndarra
     return np.add(cropped.reshape(n, oh, ow * co), np.tile(b, ow)).reshape(n, oh, ow, co)
 
 
-def _check_conv(x: Tensor, w: Tensor, b: Tensor | None, stride, padding) -> Tensor:
-    """Check a conv's operands; returns its bias, zeros when omitted."""
-    _check_dtypes("conv2d", x, w)
+def _check_conv(x: Tensor, w: Tensor, b: Tensor, stride, padding) -> None:
+    _check_dtypes("conv2d", x, w, b)
     for name, value in (("stride", stride), ("padding", padding)):
         if not isinstance(value, (int, np.integer)):
             raise ShapeError(f"conv2d: {name} must be an integer, got {value!r}")
@@ -696,9 +709,6 @@ def _check_conv(x: Tensor, w: Tensor, b: Tensor | None, stride, padding) -> Tens
     kh, kw, ci_w, co = w.shape
     if ci != ci_w:
         raise ShapeError(f"conv2d: input channels {ci} != kernel channels {ci_w}")
-    if b is None:
-        b = Tensor._wrap(np.zeros(co, dtype=x.data.dtype))
-    _check_dtypes("conv2d", x, b)
     if b.shape != (co,):
         raise ShapeError(f"conv2d: bias must be ({co},), got {b.shape}")
     hp, wp = h + 2 * padding, wd + 2 * padding
@@ -706,7 +716,6 @@ def _check_conv(x: Tensor, w: Tensor, b: Tensor | None, stride, padding) -> Tens
         raise ShapeError("conv2d: kernel larger than padded input")
     if (hp - kh) % stride or (wp - kw) % stride:
         raise ShapeError("conv2d: non-integral output extent")
-    return b
 
 
 def _conv_blocks(x: np.ndarray, stride: int, padding: int) -> np.ndarray:
@@ -759,16 +768,15 @@ def _conv_vjp(g: np.ndarray, x: np.ndarray | None, w: np.ndarray, stride: int, p
     return (gx, gw, gb)
 
 
-def conv2d_nhwc(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
-                padding: int = 0) -> Tensor:
+def conv2d_nhwc(x: Tensor, w: Tensor, b: Tensor, *, stride: int, padding: int) -> Tensor:
     """2-D cross-correlation on channels-last input, as one tape record.
 
     x is (N, H, W, C_in), w is (kh, kw, C_in, C_out) and the bias b is
-    (C_out,); an omitted bias is zeros, so every call runs the one biased
-    body. Channels-last keeps every gather contiguous, which is why the
-    network runs in this layout. Output extents must divide exactly.
-    ``stride`` and ``padding`` must be integers, ``stride`` >= 1 and
-    ``padding`` >= 0, and no extent of x or w may be 0.
+    (C_out,), all of one dtype; every operand is required, so every call
+    runs the one biased body. Channels-last keeps every gather contiguous,
+    which is why the network runs in this layout. Output extents must
+    divide exactly. ``stride`` and ``padding`` must be integers,
+    ``stride`` >= 1 and ``padding`` >= 0, and no extent of x or w may be 0.
 
     At stride 1 the padded input is gathered into kw-wide row windows
     (``_row_windows``), and the forward is kh GEMMs on row-shifted slices of
@@ -790,7 +798,7 @@ def conv2d_nhwc(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 
     windows. The bias gradient is a column sum of the output gradient's
     rows. The output is checked for non-finite values.
     """
-    b = _check_conv(x, w, b, stride, padding)
+    _check_conv(x, w, b, stride, padding)
     xd, wd = x.data, w.data
 
     def vjp(g, live):
@@ -836,22 +844,20 @@ def norm_silu_conv2d(x: Tensor, gain: Tensor, bias: Tensor, w: Tensor, b: Tensor
     return _record("conv2d", out, (x, gain, bias, w, b), vjp)
 
 
-def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation (no kernel flip) on (N, C, H, W) input.
+def conv2d(x: Tensor, w: Tensor, *, stride: int, padding: int) -> Tensor:
+    """2-D cross-correlation (no kernel flip, no bias) on (N, C, H, W) input.
 
     w is (C_out, C_in, kh, kw). Thin layout adapter over the channels-last
-    kernel; gradients flow through the transposes.
+    kernel, which it hands a zero bias; gradients flow through the
+    transposes.
     """
     if w.ndim != 4:
         raise ShapeError("conv2d: weight must be (C_out, C_in, kh, kw)")
     if x.ndim != 4:
         raise ShapeError("conv2d: input must be (N, C, H, W)")
-    out = conv2d_nhwc(
-        transpose(x, (0, 2, 3, 1)),
-        transpose(w, (2, 3, 1, 0)),
-        stride=stride,
-        padding=padding,
-    )
+    zero = Tensor._wrap(np.zeros(w.shape[0], dtype=x.data.dtype))
+    out = conv2d_nhwc(transpose(x, (0, 2, 3, 1)), transpose(w, (2, 3, 1, 0)), zero,
+                      stride=stride, padding=padding)
     return transpose(out, (0, 3, 1, 2))
 
 
@@ -869,8 +875,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     """
     if q.ndim != 3 or k.ndim != 3 or v.ndim != 3:
         raise ShapeError("attention: q, k and v must be (B, L, d)")
-    _check_dtypes("attention", q, k)
-    _check_dtypes("attention", q, v)
+    _check_dtypes("attention", q, k, v)
     if not isinstance(n_heads, (int, np.integer)) or n_heads < 1:
         raise ShapeError(f"attention: n_heads must be an integer >= 1, got {n_heads!r}")
     b, lq, d = q.shape
@@ -883,6 +888,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     if k.shape[-2] != v.shape[-2]:
         raise ShapeError("attention: k and v sequence lengths differ")
     lk = k.shape[1]
+    if not lk or not d:
+        raise ShapeError(f"attention: needs at least one key and d >= 1, got k {k.shape}")
     dh = d // n_heads
     s = 1.0 / float(np.sqrt(dh))
 
@@ -952,10 +959,7 @@ def concat(tensors, axis: int) -> Tensor:
     tensors = list(tensors)
     if not tensors:
         raise ShapeError("concat: empty input list")
-    dtype = tensors[0].data.dtype
-    for t in tensors[1:]:
-        if t.data.dtype != dtype:
-            raise TypeError("concat: mixed dtypes")
+    _check_dtypes("concat", *tensors)
     try:
         out = np.concatenate([t.data for t in tensors], axis=axis)
     except ValueError as exc:
@@ -983,6 +987,8 @@ def tsum(x: Tensor) -> Tensor:
 
 def tmean(x: Tensor) -> Tensor:
     """Mean of every element, as a 0-d tensor."""
+    if not x.size:
+        raise ShapeError(f"tmean: input {x.shape} has no elements")
     out = x.data.mean()
     x_shape, x_size = x.shape, x.size
 

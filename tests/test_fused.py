@@ -36,7 +36,7 @@ DTYPES = [np.float32, np.float64]
 
 
 def _composed_norm_silu_conv(x, gain, bias, w, b):
-    return conv2d_nhwc(silu(layer_norm(x, gain, bias)), w, b, padding=1)
+    return conv2d_nhwc(silu(layer_norm(x, gain, bias)), w, b, stride=1, padding=1)
 
 
 def _fused_norm_silu_conv(x, gain, bias, w, b):

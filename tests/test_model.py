@@ -46,7 +46,7 @@ def tiny_model(dtype=np.float64, seed=0, config=TINY) -> DiffusionModel:
 
 def tiny_batch(model, rows: int, seed: int = 1):
     """(prompts, layouts, x_t, t) for ``rows`` synthetic scenes."""
-    samples = generate_dataset(rows, TINY.canvas, seed)
+    samples = generate_dataset(rows, TINY.canvas, seed, "scene")
     rng = Rng(seed).split("noise")
     layouts = Tensor(np.stack([s.layout for s in samples]).astype(model.dtype))
     shape = (rows, TINY.image_channels, TINY.canvas, TINY.canvas)
@@ -229,7 +229,7 @@ def _default_train_forward():
     config = ModelConfig()
     model = DiffusionModel(config, rng=Rng(0), dtype=np.float32)
     cond = model.conditioner
-    samples = generate_dataset(2, config.canvas, 1)
+    samples = generate_dataset(2, config.canvas, 1, "scene")
     prompts = [s.prompt for s in samples]
     layouts = Tensor(np.stack([s.layout for s in samples]).astype(np.float32))
     x0 = Tensor(np.stack([s.target for s in samples]).astype(np.float32))

@@ -64,12 +64,12 @@ def test_no_module_imports_numpy_random():
 # the ROADMAP item that plans its first caller. The list can only shrink: a
 # listed name that gains a caller fails the guard until it is taken off.
 UNCALLED = {
-    "Conditioner.fuse_text_only": "item 2: the per-step condition choice",
-    "Adam.load_state": "item 2: resuming from a checkpoint",
-    "sdedit_init": "item 1: the SDEdit baseline",
-    "layout_iou": "item 1: the eval script",
-    "color_adherence": "item 1: the eval script",
-    "Sample.scene": "item 1: translation re-renders source scene A",
+    "Conditioner.fuse_text_only": "item 1a: the text CFG rule of the per-step condition choice",
+    "Adam.load_state": "item 1b: resuming from a checkpoint",
+    "sdedit_init": "item 2 translation: the SDEdit baseline",
+    "layout_iou": "item 2 eval: the eval script",
+    "color_adherence": "item 2 eval: the eval script",
+    "Sample.scene": "item 2 translation: re-renders source scene A",
 }
 
 
@@ -204,29 +204,39 @@ def test_every_config_field_is_read_by_the_library():
 
 # Argument defaults plus dataclass fields in src/duetdiff: each is a value a
 # caller may set, and each one nothing sets is a knob to delete.
-SETTABLE = 48
+SETTABLE = 42
 
 
-def _settable() -> int:
-    count = 0
-    for path in PACKAGE.glob("*.py"):
+def _settable() -> list[str]:
+    """``file:line name`` of each argument default and dataclass field."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                count += len(node.args.defaults)
-                count += sum(d is not None for d in node.args.kw_defaults)
+                args = node.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                named = [(a.lineno, a.arg) for a in defaulted]
             elif isinstance(node, ast.ClassDef):
                 decorators = {getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
                               for d in node.decorator_list}
-                if "dataclass" in decorators:
-                    count += sum(isinstance(item, ast.AnnAssign) for item in node.body)
-    return count
+                if "dataclass" not in decorators:
+                    continue
+                named = [(item.lineno, ast.unparse(item.target))
+                         for item in node.body if isinstance(item, ast.AnnAssign)]
+            else:
+                continue
+            found.extend(f"{path.name}:{line} {name}" for line, name in named)
+    return found
 
 
 def test_the_settable_value_count_is_pinned():
-    count = _settable()
-    assert count == SETTABLE, (
-        f"src/duetdiff has {count} settable values (argument defaults plus dataclass "
-        f"fields), pinned at {SETTABLE}: move the pin in the same diff and say why in CHANGES.md")
+    found = _settable()
+    assert len(found) == SETTABLE, (
+        f"src/duetdiff has {len(found)} settable values (argument defaults plus dataclass "
+        f"fields), pinned at {SETTABLE}: move the pin in the same diff and say why in "
+        f"CHANGES.md. Found:\n" + "\n".join(found))
 
 
 def test_a_failing_hypothesis_test_does_not_abort_the_run(tmp_path):

@@ -82,8 +82,8 @@ def test_prompt_tokens():
 
 
 def test_dataset_deterministic():
-    a = generate_dataset(16, 16, seed=9)
-    b = generate_dataset(16, 16, seed=9)
+    a = generate_dataset(16, 16, seed=9, namespace="scene")
+    b = generate_dataset(16, 16, seed=9, namespace="scene")
     for sa, sb in zip(a, b):
         assert sa.scene == sb.scene
         assert np.array_equal(sa.target, sb.target)
@@ -92,14 +92,14 @@ def test_dataset_deterministic():
 
 def test_dataset_prefix_stable():
     # per-index streams: the first k samples do not depend on n
-    a = generate_dataset(4, 16, seed=3)
-    b = generate_dataset(32, 16, seed=3)
+    a = generate_dataset(4, 16, seed=3, namespace="scene")
+    b = generate_dataset(32, 16, seed=3, namespace="scene")
     for sa, sb in zip(a, b[:4]):
         assert sa.scene == sb.scene
 
 
 def test_dataset_valid_and_balanced():
-    samples = generate_dataset(4096, 16, seed=1)
+    samples = generate_dataset(4096, 16, seed=1, namespace="scene")
     counts = {}
     for s in samples:
         s.scene.validate(16)
@@ -119,7 +119,7 @@ def test_sample_scene_respects_canvas():
 
 
 def test_value_ranges():
-    samples = generate_dataset(8, 16, seed=2)
+    samples = generate_dataset(8, 16, seed=2, namespace="scene")
     for s in samples:
         assert s.target.min() >= -1.0 and s.target.max() <= 1.0
         assert set(np.unique(s.layout)) <= {-1.0, 1.0}

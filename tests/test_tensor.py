@@ -24,9 +24,11 @@ from duetdiff.tensor import (
     linear,
     matmul,
     mul,
+    norm_silu_conv2d,
     reshape,
     scale,
     silu,
+    silu_mlp,
     softmax,
     sub,
     tmean,
@@ -222,13 +224,13 @@ def test_a_finite_output_whose_squares_overflow_does_not_raise():
 def test_conv2d_identity_kernel():
     x = Tensor(np.arange(9, dtype=np.float64).reshape(1, 1, 3, 3))
     w = Tensor(np.ones((1, 1, 1, 1)))
-    assert np.array_equal(conv2d(x, w).data, x.data)
+    assert np.array_equal(conv2d(x, w, stride=1, padding=0).data, x.data)
 
 
 def test_conv2d_zero_kernel():
     x = Tensor(np.random.default_rng(0).normal(size=(1, 2, 5, 5)))
     w = Tensor(np.zeros((3, 2, 3, 3)))
-    assert np.all(conv2d(x, w, padding=1).data == 0.0)
+    assert np.all(conv2d(x, w, stride=1, padding=1).data == 0.0)
 
 
 def test_conv2d_output_extent():
@@ -244,13 +246,13 @@ def test_conv2d_adapter_equals_nhwc_kernel_on_transposed_operands():
     w = _rand(rng, (4, 3, 4, 4))
     ref = conv2d(Tensor(x), Tensor(w), stride=2, padding=1).data
     out = conv2d_nhwc(Tensor(x.transpose(0, 2, 3, 1)), Tensor(w.transpose(2, 3, 1, 0)),
-                      stride=2, padding=1).data
+                      Tensor(np.zeros(4)), stride=2, padding=1).data
     assert np.array_equal(out.transpose(0, 3, 1, 2), ref)
 
 
 def test_conv2d_rejects_unbatched_input():
     with pytest.raises(ShapeError, match=r"\(N, C, H, W\)"):
-        conv2d(Tensor(np.ones((1, 5, 5))), Tensor(np.ones((1, 1, 3, 3))))
+        conv2d(Tensor(np.ones((1, 5, 5))), Tensor(np.ones((1, 1, 3, 3))), stride=1, padding=0)
 
 
 def test_conv2d_non_integral_extent_rejected():
@@ -268,17 +270,17 @@ def test_conv2d_non_integral_extent_rejected():
 ], ids=["negative-padding", "zero-stride", "float-stride", "float-padding"])
 def test_conv2d_rejects_bad_stride_and_padding(kwargs, message):
     x = Tensor(np.ones((1, 6, 6, 2)))
-    w = Tensor(np.ones((3, 3, 2, 2)))
+    w, b = Tensor(np.ones((3, 3, 2, 2))), Tensor(np.zeros(2))
     with pytest.raises(ShapeError, match=message):
-        conv2d_nhwc(x, w, **kwargs)
+        conv2d_nhwc(x, w, b, **{"stride": 1, "padding": 1, **kwargs})
 
 
 @pytest.mark.parametrize("w_shape", [(0, 3, 2, 2), (3, 0, 2, 2), (3, 3, 2, 0)],
                          ids=["no-rows", "no-columns", "no-outputs"])
 def test_conv2d_rejects_a_kernel_with_an_extent_of_0(w_shape):
-    x, w = Tensor(np.ones((1, 4, 4, 2))), Tensor(np.ones(w_shape))
+    x, w, b = Tensor(np.ones((1, 4, 4, 2))), Tensor(np.ones(w_shape)), Tensor(np.zeros(w_shape[-1]))
     with pytest.raises(ShapeError, match=re.escape(f"conv2d: kernel {w_shape} has an extent of 0")):
-        conv2d_nhwc(x, w, padding=1)
+        conv2d_nhwc(x, w, b, stride=1, padding=1)
 
 
 def test_attention_singleton_key_returns_value():
@@ -600,12 +602,16 @@ _NETWORK_CONVS = [(1, 1, 1, 0), (2, 2, 2, 0), (4, 4, 2, 1), (3, 3, 1, 1), (3, 3,
                   (2, 3, 1, 1), (2, 3, 1, 2)]
 
 
+def _conv2d_nhwc_zero_bias(x, w, *, stride, padding):
+    return conv2d_nhwc(x, w, Tensor(np.zeros(w.shape[-1])), stride=stride, padding=padding)
+
+
 @pytest.mark.parametrize("case", range(28 + 2 * len(_NETWORK_CONVS)))
 def test_grad_conv2d(case):
-    # cases 0-19: the NCHW adapter; 20-27: the channels-last kernel, with
-    # stride 2 in every other case; 28 on: the channels-last kernel at each
-    # shape of _NETWORK_CONVS, on an input with H != W, first without and
-    # then with a bias
+    # cases 0-19: the NCHW adapter; 20-27: the channels-last kernel with a
+    # constant zero bias, with stride 2 in every other case; 28 on: the
+    # channels-last kernel at each shape of _NETWORK_CONVS, on an input with
+    # H != W, first with a constant zero bias and then with a tracked one
     rng = Rng(700 + case)
     arrays = []
     if case < 20:
@@ -620,14 +626,14 @@ def test_grad_conv2d(case):
         x = _rand(rng, (2, 6, 6, 3))
         kh = 3 if (6 + 2 * pad - 3) % stride == 0 else 4
         w = _rand(rng, (kh, kh, 3, 2))
-        op = conv2d_nhwc
+        op = _conv2d_nhwc_zero_bias
     else:
         kh, kw, stride, pad = _NETWORK_CONVS[(case - 28) % len(_NETWORK_CONVS)]
         x = _rand(rng, (2, 8, 6, 3))
         w = _rand(rng, (kh, kw, 3, 2))
-        op = conv2d_nhwc
+        op = _conv2d_nhwc_zero_bias
         if case >= 28 + len(_NETWORK_CONVS):
-            arrays = [_rand(rng, (2,))]
+            op, arrays = conv2d_nhwc, [_rand(rng, (2,))]
 
     def build(ts):
         return _weighted(rng.split("w"), op(*ts, stride=stride, padding=pad))
@@ -890,22 +896,14 @@ def test_conv_bias_matches_conv_plus_add(dtype, kh, stride, padding):
     b = _rand(rng, (4,)).astype(dtype)
     oh = (6 + 2 * padding - kh) // stride + 1
     weights = _rand(rng, (2, oh, oh, 4)).astype(dtype)
+    zero = Tensor(np.zeros(4, dtype=dtype))
     out, grads = _outputs_and_grads(
-        lambda x, w, b: conv2d_nhwc(x, w, b=b, stride=stride, padding=padding), [x, w, b], weights)
+        lambda x, w, b: conv2d_nhwc(x, w, b, stride=stride, padding=padding), [x, w, b], weights)
     ref_out, ref_grads = _outputs_and_grads(
-        lambda x, w, b: add(conv2d_nhwc(x, w, stride=stride, padding=padding), b), [x, w, b], weights)
+        lambda x, w, b: add(conv2d_nhwc(x, w, zero, stride=stride, padding=padding), b), [x, w, b], weights)
     assert out.dtype == ref_out.dtype and np.array_equal(out, ref_out)
     if dtype == np.float64:
         assert _max_rel_l2(grads, ref_grads) <= 1e-12
-    # a conv without a bias is the conv with a zero bias, bit for bit
-    plain_out, plain_grads = _outputs_and_grads(
-        lambda x, w: conv2d_nhwc(x, w, stride=stride, padding=padding), [x, w], weights)
-    zero_out, zero_grads = _outputs_and_grads(
-        lambda x, w, b: conv2d_nhwc(x, w, b=b, stride=stride, padding=padding),
-        [x, w, np.zeros(4, dtype=dtype)], weights)
-    assert plain_out.dtype == dtype and np.array_equal(plain_out, zero_out)
-    for got, want in zip(plain_grads, zero_grads):
-        assert got.dtype == dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("gain, bias, message", [
@@ -923,7 +921,7 @@ def test_layer_norm_rejects_a_partial_or_mis_shaped_affine(gain, bias, message):
 def test_conv2d_rejects_a_mis_shaped_bias():
     x, w = Tensor(np.ones((1, 4, 4, 2))), Tensor(np.ones((3, 3, 2, 5)))
     with pytest.raises(ShapeError, match=r"bias must be \(5,\), got \(2,\)"):
-        conv2d_nhwc(x, w, b=Tensor(np.ones(2)), padding=1)
+        conv2d_nhwc(x, w, Tensor(np.ones(2)), stride=1, padding=1)
 
 
 def test_attention_and_linear_each_add_one_tape_record():
@@ -973,6 +971,64 @@ def test_grad_composite_mlp():
         return _weighted(rng.split("w"), out)
 
     assert _grad_check(build, [x, w1, b1, w2], 1e-3) <= 1e-3
+
+
+# ---------------------------------------------------------------------------
+# operand contracts
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.bool_, np.float16])
+def test_a_tensor_of_a_non_float_dtype_raises_naming_it(dtype):
+    name = np.dtype(dtype).name
+    with pytest.raises(TypeError, match=rf"^Tensor: data must be float32 or float64, got {name}$"):
+        Tensor(np.ones(3, dtype=dtype))
+
+
+@pytest.mark.parametrize("missing", ["b", "stride", "padding"])
+def test_conv2d_nhwc_takes_every_operand(missing):
+    operands = {"x": Tensor(np.ones((1, 4, 4, 2))), "w": Tensor(np.ones((3, 3, 2, 2))),
+                "b": Tensor(np.zeros(2)), "stride": 1, "padding": 1}
+    del operands[missing]
+    with pytest.raises(TypeError, match=rf"missing 1 required .*argument: '{missing}'"):
+        conv2d_nhwc(**operands)
+
+
+def _ones(shape, dtype=np.float64):
+    return Tensor(np.ones(shape, dtype=dtype))
+
+
+# each op whose operands one _check_dtypes call checks, with the last operand
+# float32 and the rest float64
+@pytest.mark.parametrize("name, call", [
+    ("concat", lambda: concat([_ones((2, 3)), _ones((2, 3)), _ones((2, 3), np.float32)], axis=0)),
+    ("linear", lambda: linear(_ones((2, 3)), _ones((3, 4)), _ones(4, np.float32))),
+    ("linear", lambda: silu_mlp(_ones((2, 3)), _ones((3, 4)), _ones(4), _ones((4, 3)),
+                                _ones(3, np.float32))),
+    ("layer_norm", lambda: layer_norm(_ones((2, 3)), _ones(3), _ones(3, np.float32))),
+    ("conv2d", lambda: conv2d_nhwc(_ones((1, 4, 4, 2)), _ones((3, 3, 2, 2)), _ones(2, np.float32),
+                                   stride=1, padding=1)),
+    ("conv2d", lambda: norm_silu_conv2d(_ones((1, 4, 4, 2)), _ones(2), _ones(2), _ones((3, 3, 2, 2)),
+                                        _ones(2, np.float32), padding=1)),
+    ("attention", lambda: attention(_ones((1, 2, 4)), _ones((1, 3, 4)), _ones((1, 3, 4), np.float32), 2)),
+], ids=["concat", "linear", "silu_mlp", "layer_norm", "conv2d_nhwc", "norm_silu_conv2d", "attention"])
+def test_a_mixed_dtype_in_any_operand_is_rejected_by_name(name, call):
+    with pytest.raises(TypeError, match=rf"^{name}: mixed dtypes float64 and float32$"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: layer_norm(_ones(())), r"layer_norm: input \(\) has no trailing axis"),
+    (lambda: softmax(_ones(())), r"softmax: input \(\) has no trailing axis"),
+    (lambda: layer_norm(_ones((3, 0))), r"layer_norm: input \(3, 0\) has no trailing axis"),
+    (lambda: softmax(_ones((3, 0))), r"softmax: input \(3, 0\) has no trailing axis"),
+    (lambda: attention(_ones((1, 2, 4)), _ones((1, 0, 4)), _ones((1, 0, 4)), 2), r"attention: .* got k \(1, 0, 4\)"),
+    (lambda: attention(_ones((1, 2, 0)), _ones((1, 3, 0)), _ones((1, 3, 0)), 2), r"attention: .* got k \(1, 3, 0\)"),
+    (lambda: tmean(_ones((2, 0))), r"tmean: input \(2, 0\) has no elements"),
+], ids=["layer_norm-0d", "softmax-0d", "layer_norm-empty-axis", "softmax-empty-axis",
+        "attention-no-keys", "attention-d-0", "tmean-empty"])
+def test_an_empty_or_0d_input_is_rejected_by_name(call, message):
+    with pytest.raises(ShapeError, match=message):
+        call()
 
 
 # ---------------------------------------------------------------------------
