@@ -30,12 +30,12 @@ class Adam:
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
-        """One update; a parameter with no entry in ``grads`` gets a zero gradient.
+        """One update; ``grads`` holds one entry for every parameter.
 
         Every entry is checked before anything changes: its name must be a
-        parameter's, its shape that parameter's and its values finite. A
-        failure names the entry and leaves the parameters, the moments and
-        ``step_count`` as they were.
+        parameter's, its shape that parameter's and its values finite, and
+        no parameter may lack one. A failure names the entries at fault and
+        leaves the parameters, the moments and ``step_count`` as they were.
         """
         for name, g in grads.items():
             if name not in self.params:
@@ -43,6 +43,9 @@ class Adam:
             if g.shape != self.params[name].data.shape:
                 raise ShapeError(f"adam: gradient shape {g.shape} != param shape "
                                  f"{self.params[name].data.shape} for '{name}'")
+        missing = [name for name in self.params if name not in grads]
+        if missing:
+            raise KeyError("adam: no gradient for parameter " + ", ".join(f"'{n}'" for n in missing))
         # one screen over every entry: a sum of squares is NaN or +Inf when any
         # value is, and may overflow on finite values, so confirm entry by entry
         with np.errstate(over="ignore"):
@@ -55,9 +58,7 @@ class Adam:
         c1 = 1.0 - _BETA1 ** self.step_count
         c2 = 1.0 - _BETA2 ** self.step_count
         for name, param in self.params.items():
-            g = grads.get(name)
-            if g is None:
-                g = np.zeros_like(param.data)
+            g = grads[name]
             m = self.m[name]
             v = self.v[name]
             m *= _BETA1

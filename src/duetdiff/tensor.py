@@ -30,8 +30,11 @@ state and its SiLU (selective recomputation, Korthikanti et al., arXiv
 (``_ln_normalize``, ``_ln_affine``, ``_ln_vjp``, ``_silu``, ``_silu_vjp``,
 ``_conv``, ``_conv_vjp``, ``_linear``, ``_linear_vjp``) that the standalone
 op and the fused record both call, so the rebuilt values and every
-gradient equal the composed ops' bit for bit. ``backward`` pops each
-record as it consumes it, which frees what that record kept.
+gradient equal the composed ops' bit for bit. A vjp takes the output
+gradient alone and returns one gradient for each input, tracked or not,
+so every record runs one backward path; ``backward`` keeps the gradients
+of the inputs that have a key and drops the rest. It pops each record as
+it consumes it, which frees what that record kept.
 Inputs must not change between an op and the backward that reads them. A
 vjp may work in place in arrays it made, but never writes its incoming
 gradient, which can be another input's gradient too.
@@ -171,7 +174,9 @@ class GradTape:
     A record is ``(input keys, vjp)`` and holds no op output: an input's
     key is its record's index if it is an output of this tape
     (``Tensor._key``), itself if it is a leaf that requires grad, and
-    ``None`` otherwise. ``backward`` pops each record as it consumes it.
+    ``None`` otherwise. A vjp maps the output gradient to one gradient
+    per input; ``backward`` keeps each one whose input key is not ``None``,
+    summing into that key, and pops each record as it consumes it.
     """
 
     def __init__(self):
@@ -216,9 +221,8 @@ class GradTape:
             g = grads.pop(len(records), None)
             if g is None:
                 continue
-            live = tuple(key is not None for key in in_keys)
-            for key, gi in zip(in_keys, vjp(g, live)):
-                if gi is not None:
+            for key, gi in zip(in_keys, vjp(g)):
+                if key is not None:
                     prev = grads.get(key)
                     grads[key] = gi if prev is None else prev + gi
         return grads
@@ -323,11 +327,8 @@ def _elementwise(name: str, fn, a: Tensor, b: Tensor, grads) -> Tensor:
     grad_a, grad_b = grads(a.data, b.data)
     shape_a, shape_b = a.shape, b.shape
 
-    def vjp(g, live):
-        return (
-            _unbroadcast(grad_a(g), shape_a) if live[0] else None,
-            _unbroadcast(grad_b(g), shape_b) if live[1] else None,
-        )
+    def vjp(g):
+        return (_unbroadcast(grad_a(g), shape_a), _unbroadcast(grad_b(g), shape_b))
 
     return _record(name, out, (a, b), vjp)
 
@@ -354,7 +355,7 @@ def scale(x: Tensor, s: float) -> Tensor:
     s = float(s)
     out = x.data * s
 
-    def vjp(g, live):
+    def vjp(g):
         return (g * s,)
 
     return _record("scale", out, (x,), vjp)
@@ -389,7 +390,7 @@ def _silu_vjp(g: np.ndarray, x: np.ndarray) -> np.ndarray:
 def silu(x: Tensor) -> Tensor:
     xd = x.data
 
-    def vjp(g, live):
+    def vjp(g):
         return (_silu_vjp(g, xd),)
 
     return _record("silu", _silu(xd), (x,), vjp)
@@ -433,28 +434,24 @@ def _ln_affine(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray,
     return out
 
 
-def _ln_vjp(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain: np.ndarray, live) -> tuple:
-    """(gx, ggain, gbias) of ``_ln_affine`` after ``_ln_normalize``, for the live ones.
+def _ln_vjp(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain: np.ndarray) -> tuple:
+    """(gx, ggain, gbias) of ``_ln_affine`` after ``_ln_normalize``.
 
     gx = inv * (gg - gm - xhat * gxm) with gg = g * gain, operand by
     operand; the incoming g may be another input's gradient too, so only
     gg is written.
     """
     c = xhat.shape[-1]
-    ggain = gbias = gx = None
-    if live[1]:
-        ggain = _col_sum((g * xhat).reshape(-1, c))
-    if live[2]:
-        gbias = _col_sum(g.reshape(-1, c))
-    if live[0]:
-        gg = g * gain
-        gm = _row_sum(gg) / c
-        tmp = np.multiply(gg, xhat)
-        gxm = _row_sum(tmp) / c
-        gx = np.subtract(gg, gm, out=gg)
-        np.multiply(xhat, gxm, out=tmp)
-        gx -= tmp
-        gx *= inv
+    ggain = _col_sum((g * xhat).reshape(-1, c))
+    gbias = _col_sum(g.reshape(-1, c))
+    gg = g * gain
+    gm = _row_sum(gg) / c
+    tmp = np.multiply(gg, xhat)
+    gxm = _row_sum(tmp) / c
+    gx = np.subtract(gg, gm, out=gg)
+    np.multiply(xhat, gxm, out=tmp)
+    gx -= tmp
+    gx *= inv
     return (gx, ggain, gbias)
 
 
@@ -469,8 +466,8 @@ def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None
     xhat, (_, inv) = _ln_normalize(x.data, None)
     gd = gain.data
 
-    def vjp(g, live):
-        return _ln_vjp(g, xhat, inv, gd, live)
+    def vjp(g):
+        return _ln_vjp(g, xhat, inv, gd)
 
     return _record("layer_norm", _ln_affine(xhat, gd, bias.data, None), (x, gain, bias), vjp)
 
@@ -480,7 +477,7 @@ def softmax(x: Tensor) -> Tensor:
     _check_rows("softmax", x)
     out = _softmax_rows(x.data)
 
-    def vjp(g, live):
+    def vjp(g):
         return (out * (g - _row_sum(g * out)),)
 
     return _record("softmax", out, (x,), vjp)
@@ -503,13 +500,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError as exc:
         raise ShapeError(f"matmul: incompatible batch shapes {a.shape} x {b.shape}") from exc
 
-    def vjp(g, live):
-        ga = gb = None
-        if live[0]:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape)
-        if live[1]:
-            gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape)
-        return (ga, gb)
+    def vjp(g):
+        return (_unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape),
+                _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape))
 
     return _record("matmul", out, (a, b), vjp)
 
@@ -528,8 +521,8 @@ def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _linear_vjp(g: np.ndarray, x: np.ndarray | None, w: np.ndarray, live) -> tuple:
-    """(gx, gw, gb) of ``_linear``, for the live ones; ``x`` is read only for gw.
+def _linear_vjp(g: np.ndarray, x: np.ndarray, w: np.ndarray) -> tuple:
+    """(gx, gw, gb) of ``_linear``.
 
     gx is one 2-D GEMM on the rows: ``np.matmul`` runs a 3-D ``g`` against
     the transposed view ``w.T`` as a stacked matmul, about 2x slower at the
@@ -537,10 +530,8 @@ def _linear_vjp(g: np.ndarray, x: np.ndarray | None, w: np.ndarray, live) -> tup
     """
     d_in, d_out = w.shape
     g2 = g.reshape(-1, d_out)
-    gx = (g2 @ w.T).reshape(g.shape[:-1] + (d_in,)) if live[0] else None
-    gw = x.reshape(-1, d_in).T @ g2 if live[1] else None
-    gb = _col_sum(g2) if live[2] else None
-    return (gx, gw, gb)
+    gx = (g2 @ w.T).reshape(g.shape[:-1] + (d_in,))
+    return (gx, x.reshape(-1, d_in).T @ g2, _col_sum(g2))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -554,8 +545,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     _check_linear(x.shape, w, b)
     xd, wd = x.data, w.data
 
-    def vjp(g, live):
-        return _linear_vjp(g, xd, wd, live)
+    def vjp(g):
+        return _linear_vjp(g, xd, wd)
 
     return _record("linear", _linear(xd, wd, b.data), (x, w, b), vjp)
 
@@ -580,15 +571,10 @@ def silu_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tenso
     out = _linear(act, w2d, b2.data)
     del act
 
-    def vjp(g, live):
+    def vjp(g):
         hidden = _linear(xd, w1d, b1d)
-        act = _silu(hidden) if live[3] else None
-        gact, gw2, gb2 = _linear_vjp(g, act, w2d, (any(live[:3]), live[3], live[4]))
-        del act
-        gx = gw1 = gb1 = None
-        if gact is not None:
-            gx, gw1, gb1 = _linear_vjp(_silu_vjp(gact, hidden), xd, w1d, live[:3])
-        return (gx, gw1, gb1, gw2, gb2)
+        gact, gw2, gb2 = _linear_vjp(g, _silu(hidden), w2d)
+        return (*_linear_vjp(_silu_vjp(gact, hidden), xd, w1d), gw2, gb2)
 
     return _record("linear", out, (x, w1, b1, w2, b2), vjp)
 
@@ -735,37 +721,31 @@ def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, padding: int
     return _row_shift_conv(_conv_blocks(x, stride, padding), pad, pad, _conv_kernel(w, stride), b)
 
 
-def _conv_vjp(g: np.ndarray, x: np.ndarray | None, w: np.ndarray, stride: int, padding: int,
-              live) -> tuple:
-    """(gx, gw, gb) of ``_conv``, for the live ones; ``x`` is read only for gw."""
+def _conv_vjp(g: np.ndarray, x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> tuple:
+    """(gx, gw, gb) of ``_conv``."""
     n, oh, ow, co = g.shape
     kh, kw, ci, _ = w.shape
     kbh, kbw = -(-kh // stride), -(-kw // stride)  # the kernel's extent in blocks
     hb = oh + kbh - 1  # the padded input's height in blocks
     pad = padding if stride == 1 else 0
     gmat = np.ascontiguousarray(g).reshape(n * oh * ow, co)
-    gw = gx = gb = None
-    if live[1]:
-        windows = _row_windows(_conv_blocks(x, stride, padding), kbw, pad, pad)
-        windows = windows.reshape(-1, kbw * stride * stride * ci)
-        ggrid = gmat
-        if kbh > 1:
-            ggrid = np.zeros((n, hb, ow, co), dtype=g.dtype)
-            ggrid[:, :oh] = g
-            ggrid = ggrid.reshape(-1, co)
-        rows = (n * hb - kbh + 1) * ow
-        gw = np.stack([windows[i * ow : i * ow + rows].T @ ggrid[:rows] for i in range(kbh)])
-        gw = _depth_to_space(gw.reshape(1, kbh, kbw, -1), stride, 0, kh, kw).reshape(kh, kw, ci, co)
-        del windows, ggrid  # not alive alongside the input gradient's windows
-    if live[2]:
-        gb = _col_sum(gmat)
-    if live[0]:
-        flipped = _conv_kernel(w, stride)[::-1, ::-1].transpose(0, 1, 3, 2)
-        gx = _row_shift_conv(g, kbh - 1 - pad, kbw - 1 - pad, flipped, None)
-        h = (oh - 1) * stride + kh - 2 * padding
-        wd = (ow - 1) * stride + kw - 2 * padding
-        gx = _depth_to_space(gx, stride, padding - pad, h, wd)
-    return (gx, gw, gb)
+    windows = _row_windows(_conv_blocks(x, stride, padding), kbw, pad, pad)
+    windows = windows.reshape(-1, kbw * stride * stride * ci)
+    ggrid = gmat
+    if kbh > 1:
+        ggrid = np.zeros((n, hb, ow, co), dtype=g.dtype)
+        ggrid[:, :oh] = g
+        ggrid = ggrid.reshape(-1, co)
+    rows = (n * hb - kbh + 1) * ow
+    gw = np.stack([windows[i * ow : i * ow + rows].T @ ggrid[:rows] for i in range(kbh)])
+    gw = _depth_to_space(gw.reshape(1, kbh, kbw, -1), stride, 0, kh, kw).reshape(kh, kw, ci, co)
+    del windows, ggrid  # not alive alongside the input gradient's windows
+    gb = _col_sum(gmat)
+    flipped = _conv_kernel(w, stride)[::-1, ::-1].transpose(0, 1, 3, 2)
+    gx = _row_shift_conv(g, kbh - 1 - pad, kbw - 1 - pad, flipped, None)
+    h = (oh - 1) * stride + kh - 2 * padding
+    wd = (ow - 1) * stride + kw - 2 * padding
+    return (_depth_to_space(gx, stride, padding - pad, h, wd), gw, gb)
 
 
 def conv2d_nhwc(x: Tensor, w: Tensor, b: Tensor, *, stride: int, padding: int) -> Tensor:
@@ -801,8 +781,8 @@ def conv2d_nhwc(x: Tensor, w: Tensor, b: Tensor, *, stride: int, padding: int) -
     _check_conv(x, w, b, stride, padding)
     xd, wd = x.data, w.data
 
-    def vjp(g, live):
-        return _conv_vjp(g, xd, wd, stride, padding, live)
+    def vjp(g):
+        return _conv_vjp(g, xd, wd, stride, padding)
 
     return _record("conv2d", _conv(xd, wd, b.data, stride, padding), (x, w, b), vjp)
 
@@ -830,16 +810,11 @@ def norm_silu_conv2d(x: Tensor, gain: Tensor, bias: Tensor, w: Tensor, b: Tensor
     out = _conv(act, wd, b.data, 1, padding)
     del act
 
-    def vjp(g, live):
+    def vjp(g):
         xhat, _ = _ln_normalize(xd, stats)
         normed = _ln_affine(xhat, gd, bd, None)
-        act = _silu(normed) if live[3] else None
-        gact, gw, gb = _conv_vjp(g, act, wd, 1, padding, (any(live[:3]), live[3], live[4]))
-        del act
-        gx = ggain = gbias = None
-        if gact is not None:
-            gx, ggain, gbias = _ln_vjp(_silu_vjp(gact, normed), xhat, stats[1], gd, live[:3])
-        return (gx, ggain, gbias, gw, gb)
+        gact, gw, gb = _conv_vjp(g, _silu(normed), wd, 1, padding)
+        return (*_ln_vjp(_silu_vjp(gact, normed), xhat, stats[1], gd), gw, gb)
 
     return _record("conv2d", out, (x, gain, bias, w, b), vjp)
 
@@ -906,20 +881,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     _softmax_rows(weights, out=weights)
     out = merge(np.matmul(weights, vh), lq)
 
-    def vjp(g, live):
+    def vjp(g):
         gh = heads(g, lq)
-        gq = gk = gv = None
-        if live[2]:
-            gv = merge(np.matmul(weights.transpose(0, 1, 3, 2), gh), lk)
-        if live[0] or live[1]:
-            gs = np.matmul(gh, vh.transpose(0, 1, 3, 2))
-            gs -= _row_sum(gs * weights)
-            gs *= weights
-            gs *= s
-            if live[0]:
-                gq = merge(np.matmul(gs, kh), lq)
-            if live[1]:
-                gk = merge(np.matmul(gs.transpose(0, 1, 3, 2), qh), lk)
+        gv = merge(np.matmul(weights.transpose(0, 1, 3, 2), gh), lk)
+        gs = np.matmul(gh, vh.transpose(0, 1, 3, 2))
+        gs -= _row_sum(gs * weights)
+        gs *= weights
+        gs *= s
+        gq = merge(np.matmul(gs, kh), lq)
+        gk = merge(np.matmul(gs.transpose(0, 1, 3, 2), qh), lk)
         return (gq, gk, gv)
 
     return _record("attention", out, (q, k, v), vjp)
@@ -938,7 +908,7 @@ def reshape(x: Tensor, shape) -> Tensor:
 
     x_shape = x.shape
 
-    def vjp(g, live):
+    def vjp(g):
         return (g.reshape(x_shape),)
 
     return _record("reshape", out, (x,), vjp, check=False)
@@ -949,7 +919,7 @@ def transpose(x: Tensor, axes) -> Tensor:
     out = np.transpose(x.data, axes)
     inverse = tuple(np.argsort(axes))
 
-    def vjp(g, live):
+    def vjp(g):
         return (np.transpose(g, inverse),)
 
     return _record("transpose", out, (x,), vjp, check=False)
@@ -967,9 +937,8 @@ def concat(tensors, axis: int) -> Tensor:
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum(sizes)[:-1]
 
-    def vjp(g, live):
-        pieces = np.split(g, offsets, axis=axis)
-        return tuple(p if is_live else None for p, is_live in zip(pieces, live))
+    def vjp(g):
+        return np.split(g, offsets, axis=axis)
 
     return _record("concat", out, tuple(tensors), vjp, check=False)
 
@@ -979,7 +948,7 @@ def tsum(x: Tensor) -> Tensor:
     out = x.data.sum()
     x_shape = x.shape
 
-    def vjp(g, live):
+    def vjp(g):
         return (np.broadcast_to(g, x_shape),)
 
     return _record("sum", np.asarray(out, dtype=x.data.dtype), (x,), vjp)
@@ -992,7 +961,7 @@ def tmean(x: Tensor) -> Tensor:
     out = x.data.mean()
     x_shape, x_size = x.shape, x.size
 
-    def vjp(g, live):
+    def vjp(g):
         return (np.broadcast_to(g, x_shape) / x_size,)
 
     return _record("mean", np.asarray(out, dtype=x.data.dtype), (x,), vjp)
@@ -1004,7 +973,7 @@ def upsample2x(x: Tensor) -> Tensor:
         raise ShapeError("upsample2x: input must be (.., H, W, C)")
     out = x.data.repeat(2, axis=-3).repeat(2, axis=-2)
 
-    def vjp(g, live):
+    def vjp(g):
         *lead, h2, w2, c = g.shape
         return (g.reshape((*lead, h2 // 2, 2, w2 // 2, 2, c)).sum(axis=(-2, -4)),)
 

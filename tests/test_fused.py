@@ -4,7 +4,7 @@
 and ``silu_mlp`` is ``linear(silu(linear(x, w1, b1)), w2, b2)``. Each keeps
 only its input and rebuilds its intermediates in the backward, so its output
 and every gradient must equal the composed ops' bit for bit, for any subset
-of live inputs, and a NaN made at any stage must name that stage.
+of tracked inputs, and a NaN made at any stage must name that stage.
 """
 
 import numpy as np

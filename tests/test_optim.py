@@ -49,8 +49,10 @@ def test_shape_mismatch_rejected():
     ({"p": np.ones(3)}, ShapeError, r"gradient shape \(3,\) != param shape \(1, 3\) for 'p'"),
     ({"p": np.array([[1.0, np.nan, 0.0]])}, NonFiniteError, r"gradient 'p' has non-finite values"),
     ({"p": np.array([[1.0, 0.0, -np.inf]])}, NonFiniteError, r"gradient 'p' has non-finite values"),
+    # 'p' is missing here too: the unknown-name check runs before the missing-name one
     ({"q": np.ones(2)}, KeyError, r"gradient for unknown parameter 'q'"),
-], ids=["shape", "nan", "inf", "unknown-name"])
+    ({}, KeyError, r"no gradient for parameter 'p'"),
+], ids=["shape", "nan", "inf", "unknown-name", "missing-name"])
 def test_adam_step_checks_every_gradient_before_updating_any(bad, error, message):
     # 'a' comes first, so a check made inside the update loop would fail
     # only after 'a', its moments and the step count had moved

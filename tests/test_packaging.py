@@ -2,8 +2,8 @@
 library, the library leaves out the imports it has decided against, every
 public name it defines has a caller or a planned one, every member whose
 callers that guard cannot tell apart by name is listed, every config field
-is read, the count of settable values is pinned, and the pytest
-configuration lets a run go on past a failing hypothesis test."""
+is read, the counts of settable values and of code lines are pinned, and
+the pytest configuration lets a run go on past a failing hypothesis test."""
 
 import ast
 import dataclasses
@@ -237,6 +237,32 @@ def test_the_settable_value_count_is_pinned():
         f"src/duetdiff has {len(found)} settable values (argument defaults plus dataclass "
         f"fields), pinned at {SETTABLE}: move the pin in the same diff and say why in "
         f"CHANGES.md. Found:\n" + "\n".join(found))
+
+
+# Code lines in src/duetdiff: lines that are not blank, a comment or part of a
+# docstring. This is the size that CHANGES.md and ROADMAP.md quote.
+CODE_LINES = 1358
+
+
+def _code_lines(path: Path) -> int:
+    """The code lines of one module, by the rule above."""
+    source = path.read_text(encoding="utf-8")
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    return sum(1 for number, line in enumerate(source.splitlines(), 1)
+               if line.strip() and not line.lstrip().startswith("#") and number not in docstrings)
+
+
+def test_the_code_line_count_is_pinned():
+    counts = {path.name: _code_lines(path) for path in sorted(PACKAGE.glob("*.py"))}
+    total = sum(counts.values())
+    assert total == CODE_LINES, (
+        f"src/duetdiff has {total} code lines, pinned at {CODE_LINES}: move the pin in the "
+        f"same diff and say why in CHANGES.md. By file:\n"
+        + "\n".join(f"{name} {count}" for name, count in counts.items()))
 
 
 def test_a_failing_hypothesis_test_does_not_abort_the_run(tmp_path):

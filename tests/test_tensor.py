@@ -940,6 +940,54 @@ def test_attention_and_linear_each_add_one_tape_record():
         assert len(tape._records) == 5  # the reshape, then the conv
 
 
+# every differentiable op: its call, its operands' shapes, and which operands
+# are tracked; an op with more than one operand leaves at least one untracked
+VJP_CASES = {
+    "add": (add, [(2, 3), (3,)], (True, False)),
+    "sub": (sub, [(2, 3), (2, 3)], (False, True)),
+    "mul": (mul, [(2, 1), (2, 3)], (True, False)),
+    "scale": (lambda x: scale(x, 0.5), [(2, 3)], (True,)),
+    "silu": (silu, [(2, 3)], (True,)),
+    "layer_norm": (layer_norm, [(2, 3, 4), (4,), (4,)], (True, False, True)),
+    "softmax": (softmax, [(2, 5)], (True,)),
+    "matmul": (matmul, [(2, 3, 4), (4, 5)], (False, True)),
+    "linear": (linear, [(2, 3, 4), (4, 5), (5,)], (True, True, False)),
+    "silu_mlp": (silu_mlp, [(2, 4), (4, 8), (8,), (8, 4), (4,)], (False, True, False, True, False)),
+    "conv2d_nhwc_stride1": (lambda x, w, b: conv2d_nhwc(x, w, b, stride=1, padding=1),
+                            [(2, 5, 5, 3), (3, 3, 3, 4), (4,)], (False, True, True)),
+    "conv2d_nhwc_stride2": (lambda x, w, b: conv2d_nhwc(x, w, b, stride=2, padding=1),
+                            [(2, 6, 6, 3), (4, 4, 3, 4), (4,)], (True, False, False)),
+    "norm_silu_conv2d": (lambda x, gain, bias, w, b: norm_silu_conv2d(x, gain, bias, w, b, padding=1),
+                         [(2, 4, 4, 3), (3,), (3,), (3, 3, 3, 2), (2,)], (True, False, True, False, True)),
+    "attention": (lambda q, k, v: attention(q, k, v, n_heads=2),
+                  [(2, 3, 4), (2, 5, 4), (2, 5, 4)], (True, False, True)),
+    "reshape": (lambda x: reshape(x, (3, 2)), [(2, 3)], (True,)),
+    "transpose": (lambda x: transpose(x, (1, 0, 2)), [(2, 3, 4)], (True,)),
+    "concat": (lambda a, b, c: concat([a, b, c], axis=1),
+               [(2, 1, 3), (2, 2, 3), (2, 3, 3)], (True, False, True)),
+    "tsum": (tsum, [(2, 3)], (True,)),
+    "tmean": (tmean, [(2, 3)], (True,)),
+    "upsample2x": (upsample2x, [(2, 3, 3, 4)], (True,)),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("call, shapes, tracked", VJP_CASES.values(), ids=VJP_CASES.keys())
+def test_a_vjp_returns_one_gradient_for_each_input_tracked_or_not(call, shapes, tracked, dtype):
+    rng = Rng(34)
+    inputs = [Tensor(rng.gaussian(shape, dtype=dtype), requires_grad=is_tracked)
+              for shape, is_tracked in zip(shapes, tracked)]
+    with GradTape() as tape:
+        out = call(*inputs)
+    assert len(tape._records) == 1
+    _, vjp = tape._records[-1]
+    grads = vjp(rng.gaussian(out.shape, dtype=dtype))
+    assert len(grads) == len(inputs)
+    for i, (g, t) in enumerate(zip(grads, inputs)):
+        assert isinstance(g, np.ndarray), f"input {i}: {type(g).__name__}"
+        assert g.shape == t.shape and g.dtype == t.dtype, f"input {i}: {g.shape} {g.dtype}"
+
+
 @pytest.mark.parametrize("case", range(10))
 def test_grad_shape_ops(case):
     rng = Rng(900 + case)
