@@ -33,9 +33,10 @@ _TOKEN_IDS = {tok: i for i, tok in enumerate(TOKENS)}
 
 
 def frozen_orthogonal_table(rng: Rng, vocab_size: int, d_embed: int) -> np.ndarray:
-    """Random table with orthonormal rows (modified Gram-Schmidt at 64-bit)."""
-    if vocab_size > d_embed:
-        raise ValueError("orthonormal rows need vocab_size <= d_embed")
+    """Random table with orthonormal rows (modified Gram-Schmidt at 64-bit).
+
+    Needs ``vocab_size <= d_embed``, which ``ModelConfig`` checks.
+    """
     raw = rng.gaussian((vocab_size, d_embed), dtype=np.float64)
     for i in range(vocab_size):
         for j in range(i):
@@ -152,6 +153,8 @@ class Conditioner:
         return self.image_encoder(images)
 
     def null_image_batch(self, batch: int) -> Tensor:
+        """The null image block repeated for each of ``batch`` rows, the whole-batch
+        block that ``concat`` takes."""
         block = reshape(self.null_image, (1,) + self.null_image.shape)
         ones = Tensor(np.ones((batch, 1, 1), dtype=self.null_image.dtype))
         return mul(block, ones)
@@ -193,12 +196,13 @@ class Conditioner:
         text_dropped = u[0::2] < drop_text
         image_dropped = u[1::2] < drop_image
         text_out = _swap_rows(text_emb, self.null_text(batch), text_dropped)
-        image_out = _swap_rows(image_emb, self.null_image_batch(batch), image_dropped)
+        image_out = _swap_rows(image_emb, self.null_image, image_dropped)
         return text_out, image_out, (text_dropped, image_dropped)
 
 
 def _swap_rows(emb: Tensor, null: Tensor, dropped: np.ndarray) -> Tensor:
-    """emb with the rows flagged in ``dropped`` replaced by those of ``null``."""
+    """emb with the rows flagged in ``dropped`` replaced by those of ``null``: a
+    batch like ``emb``, or one row that ``mul`` broadcasts over the batch."""
     keep = Tensor((~dropped).astype(emb.dtype)[:, None, None])
     drop = Tensor(dropped.astype(emb.dtype)[:, None, None])
     return add(mul(emb, keep), mul(null, drop))

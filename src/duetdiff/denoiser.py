@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .nn import Attention, Conv2dLayer, LayerNormAffine, Linear, Mlp, timestep_embedding
 from .rng import Rng
 from .tensor import Tensor, add, concat, norm_silu_conv2d, reshape, silu, silu_mlp, transpose, upsample2x
@@ -155,13 +153,8 @@ class Denoiser:
         return silu(silu_mlp(emb, fc1.w, fc1.b, fc2.w, fc2.b))
 
     def __call__(self, x: Tensor, t, cond: Tensor) -> Tensor:
-        """x is (N, C, H, W); t is an int (any 0-d value) or an (N,) array; cond is (N, L, d)."""
-        t_arr = np.asarray(t)
-        if t_arr.ndim == 0:
-            t_arr = np.full(x.shape[0], t_arr, dtype=np.int64)
-        if t_arr.shape != (x.shape[0],):
-            raise ValueError(f"t batch {t_arr.shape} != input batch {x.shape[0]}")
-        temb = self.time_features(t_arr)
+        """x is (N, C, H, W); t is an (N,) int array, one step per row; cond is (N, L, d)."""
+        temb = self.time_features(t)
 
         h = self.in_conv(transpose(x, (0, 2, 3, 1)))
         skips = []

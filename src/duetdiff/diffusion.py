@@ -9,7 +9,10 @@ Step-index contract: a step ``t`` is an int or a per-row int array in
 [1, T], where T is the schedule's ``total_steps``. A reverse step's target
 ``t_prev`` may also be 0, the clean data, and ``alpha_bar(0) == 1``.
 ``NoiseSchedule.check_t`` holds this dtype and range check for every caller.
-``ddim_step`` takes one 0-d step for the whole batch.
+``NoiseSchedule.per_row`` is the one place a step becomes one step per row
+of a batch: ``forward_diffuse`` and ``predict_eps`` take either form and
+pass it on as an (N,) array. ``ddim_step`` takes one 0-d step for the whole
+batch.
 """
 
 from __future__ import annotations
@@ -53,26 +56,31 @@ class NoiseSchedule:
             raise ValueError(f"t={t} outside schedule range [{lo}, {self.total_steps}]")
         return t_arr
 
+    def per_row(self, t, n: int) -> np.ndarray:
+        """The checked step ``t`` as an (n,) array: a 0-d step becomes n copies,
+        an (n,) array passes through."""
+        t_arr = self.check_t(t)
+        if t_arr.ndim == 0:
+            return np.full(n, t_arr)
+        if t_arr.shape != (n,):
+            raise ShapeError(f"t shape {t_arr.shape} != ({n},), one step per row")
+        return t_arr
+
     def alpha_bar(self, t) -> float | np.ndarray:
         """Cumulative retention at step t, with alpha_bar(0) == 1."""
-        out = self._alpha_bar_table[self.check_t(t, lo=0)]
-        return out if isinstance(out, np.ndarray) else float(out)
+        return self._alpha_bar_table[self.check_t(t, lo=0)]
 
 
 def forward_diffuse(x0: Tensor, t, eps: Tensor, sched: NoiseSchedule) -> Tensor:
     """Jump straight from clean data to the step-t corrupted sample.
 
     t may be an int (or 0-d array) for the whole batch, or an (N,) array
-    with one step per row of an (N, ...) ``x0``.
+    with one step per row of an (N, ...) ``x0``; ``per_row`` decides which.
     """
     if eps.shape != x0.shape:
         raise ShapeError(f"forward_diffuse: eps shape {eps.shape} != x0 shape {x0.shape}")
-    t_arr = sched.check_t(t)
-    if t_arr.ndim and t_arr.shape != x0.shape[:1]:
-        raise ShapeError(f"forward_diffuse: t shape {t_arr.shape} != ({x0.shape[0]},), "
-                         f"one step per row of x0")
-    abar = sched.alpha_bar(t)
-    # one coefficient per row; an int t gives one for the whole batch
+    abar = sched.alpha_bar(sched.per_row(t, x0.shape[0]))
+    # one coefficient per row
     shape = (-1,) + (1,) * (x0.ndim - 1)
     c_signal = np.sqrt(abar).reshape(shape).astype(x0.dtype)
     c_noise = np.sqrt(1.0 - abar).reshape(shape).astype(x0.dtype)

@@ -163,7 +163,8 @@ class DiffusionModel:
     def predict_eps(self, x_t: Tensor, t, cond: Tensor) -> Tensor:
         """eps prediction for x_t (N, C, H, W) at step(s) t under cond (N, L, d).
 
-        t is an int or a per-row int array in [1, T].
+        t is an int or a per-row int array in [1, T]; the schedule's ``per_row``
+        hands the denoiser one step per row.
         """
         c, hw = self.config.image_channels, self.config.canvas
         if x_t.shape[1:] != (c, hw, hw):
@@ -174,5 +175,4 @@ class DiffusionModel:
         for arg, value in (("x_t", x_t), ("cond", cond)):
             if value.dtype != self.dtype:
                 raise TypeError(f"predict_eps: {arg} dtype {value.dtype} != model dtype {self.dtype}")
-        self.schedule.check_t(t)
-        return self.denoiser(x_t, t, cond)
+        return self.denoiser(x_t, self.schedule.per_row(t, x_t.shape[0]), cond)

@@ -140,11 +140,9 @@ class TransformerBlock:
 def timestep_embedding(t, dim: int, dtype) -> np.ndarray:
     """Sinusoidal features [sin(t*w_j), cos(t*w_j)], w_j = 10000^(-2j/dim).
 
-    t may be a scalar or a 1-D array; output gains a leading batch axis for
-    arrays.
+    t is a 1-D array of N steps; the output is (N, dim). ``dim`` is even,
+    which ``ModelConfig`` checks for ``temb_dim``.
     """
-    if dim % 2:
-        raise ValueError(f"timestep embedding dim must be even, got {dim}")
     half = dim // 2
     freqs = np.power(10000.0, -2.0 * np.arange(half, dtype=np.float64) / dim)
     t_arr = np.asarray(t, dtype=np.float64)

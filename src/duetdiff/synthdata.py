@@ -2,8 +2,8 @@
 
 Each sample is a colored shape on mid-gray (the target), its binary
 silhouette (the image condition), and a two-token prompt naming color and
-shape. Targets and silhouettes share one rasterizer, so layout metrics have
-an exact reference.
+shape. ``render`` draws both images of a scene from one mask, so layout
+metrics have an exact reference.
 """
 
 from __future__ import annotations
@@ -81,21 +81,14 @@ def shape_mask(scene: SceneSpec, canvas: int) -> np.ndarray:
     return (dr >= -s) & (dr <= s) & (2 * np.abs(dc) <= (dr + s))
 
 
-def render_target(scene: SceneSpec, canvas: int) -> np.ndarray:
-    """(3, H, W) float64 image in [-1, 1]: palette shape on mid-gray."""
+def render(scene: SceneSpec, canvas: int) -> tuple[np.ndarray, np.ndarray]:
+    """(target, layout) of one scene, both float64 from one ``shape_mask``: the
+    (3, H, W) palette shape on mid-gray in [-1, 1], and its (1, H, W) silhouette,
+    +1 on the shape and -1 elsewhere."""
     mask = shape_mask(scene, canvas)
-    img = np.empty((3, canvas, canvas), dtype=np.float64)
-    bg = to_unit(BACKGROUND)
-    fg = to_unit(PALETTE[scene.color])
-    for ch in range(3):
-        img[ch] = np.where(mask, fg[ch], bg[ch])
-    return img
-
-
-def render_layout(scene: SceneSpec, canvas: int) -> np.ndarray:
-    """(1, H, W) silhouette: +1 on the shape, -1 elsewhere."""
-    mask = shape_mask(scene, canvas)
-    return np.where(mask, 1.0, -1.0)[None].astype(np.float64)
+    fg = to_unit(PALETTE[scene.color])[:, None, None]
+    bg = to_unit(BACKGROUND)[:, None, None]
+    return np.where(mask, fg, bg), np.where(mask, 1.0, -1.0)[None]
 
 
 def make_prompt(scene: SceneSpec) -> list[str]:
@@ -140,13 +133,8 @@ def generate_dataset(n: int, canvas: int, seed: int, namespace: str) -> list[Sam
     samples = []
     for i in range(n):
         scene = sample_scene(base.split(f"{namespace}/{i}"), canvas)
-        samples.append(
-            Sample(
-                scene=scene,
-                target=render_target(scene, canvas).astype(np.float32),
-                layout=render_layout(scene, canvas).astype(np.float32),
-                prompt=make_prompt(scene),
-            )
-        )
+        target, layout = render(scene, canvas)
+        samples.append(Sample(scene=scene, target=target.astype(np.float32),
+                              layout=layout.astype(np.float32), prompt=make_prompt(scene)))
     return samples
 

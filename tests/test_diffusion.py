@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duetdiff.diffusion import NoiseSchedule, ddim_step, forward_diffuse, sdedit_init
-from duetdiff.model import ModelConfig
+from duetdiff.model import DiffusionModel, ModelConfig
 from duetdiff.rng import Rng
 from duetdiff.tensor import ShapeError, Tensor
+
+from tiny import TINY
 
 
 def _schedule(total_steps: int, **betas) -> NoiseSchedule:
@@ -111,11 +113,25 @@ def test_forward_rejects_bad_t():
 @pytest.mark.parametrize("rows, t", [(1, [5, 6, 7]), (2, [[5], [6]]), (2, [5, 6, 7])],
                          ids=["grows-one-row", "column-t", "too-many-steps"])
 def test_forward_rejects_a_t_that_is_not_one_step_per_row(rows, t):
-    sched = _schedule(10)
-    x = Tensor(np.zeros((rows, 3, 4, 4)))
+    # the schedule's per_row makes the call for forward_diffuse and predict_eps alike
+    model = DiffusionModel(TINY, dtype=np.float64)
+    x = Tensor(np.zeros((rows, 3, TINY.canvas, TINY.canvas)))
+    cond = model.conditioner.fuse_null(rows)
     t = np.array(t)
-    with pytest.raises(ShapeError, match=re.escape(f"forward_diffuse: t shape {t.shape} != ({rows},)")):
-        forward_diffuse(x, t, x, sched)
+    calls = {"forward_diffuse": lambda: forward_diffuse(x, t, x, model.schedule),
+             "predict_eps": lambda: model.predict_eps(x, t, cond)}
+    for call in calls.values():
+        with pytest.raises(ShapeError, match=re.escape(f"t shape {t.shape} != ({rows},)")):
+            call()
+
+
+@pytest.mark.parametrize("t", [5, np.int64(5), np.array(5), np.array([5, 6, 7]),
+                               np.array([5, 6, 7], dtype=np.int32)],
+                         ids=["int", "int64", "0d-array", "row-array", "row-array-int32"])
+def test_per_row_gives_one_step_per_row(t):
+    rows = _schedule(10).per_row(t, 3)
+    assert rows.shape == (3,) and rows.dtype == np.asarray(t).dtype
+    assert np.array_equal(rows, np.broadcast_to(t, (3,)))
 
 
 def test_forward_takes_an_int_or_0d_t_for_any_batch():

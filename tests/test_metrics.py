@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from duetdiff.metrics import color_adherence, foreground_mask, layout_iou
-from duetdiff.synthdata import PALETTE, SceneSpec, render_layout, render_target, to_unit
+from duetdiff.synthdata import PALETTE, SceneSpec, render, to_unit
 
 
 def _colorize(layout, color):
@@ -15,14 +15,14 @@ def _colorize(layout, color):
 
 def test_exact_colorized_layout_is_perfect():
     scene = SceneSpec("circle", "red", (8, 8), 4)
-    layout = render_layout(scene, 16)
+    _, layout = render(scene, 16)
     gen = _colorize(layout, "red")
     assert layout_iou(gen, layout) == 1.0
 
 
 def test_all_background_scores_zero():
     scene = SceneSpec("square", "red", (8, 8), 4)
-    layout = render_layout(scene, 16)
+    _, layout = render(scene, 16)
     gen = np.broadcast_to(to_unit((128, 128, 128)).reshape(3, 1, 1), (3, 16, 16)).copy()
     assert layout_iou(gen, layout) == 0.0
 
@@ -51,16 +51,23 @@ def test_extent_mismatch_rejected():
         layout_iou(np.zeros((3, 4, 4)), np.zeros((1, 5, 5)))
 
 
+def test_a_layout_is_only_the_1hw_silhouette():
+    _, layout = render(SceneSpec("circle", "red", (8, 8), 4), 16)
+    gen = _colorize(layout, "red")
+    for metric in (layout_iou, lambda g, lay: color_adherence(g, lay, "red")):
+        with pytest.raises(ValueError, match=r"layout \(16, 16\) != \(1, H, W\)"):
+            metric(gen, layout[0])
+
+
 def test_render_target_matches_perfectly():
     scene = SceneSpec("triangle", "yellow", (7, 8), 5)
-    gen = render_target(scene, 16)
-    layout = render_layout(scene, 16)
+    gen, layout = render(scene, 16)
     assert layout_iou(gen, layout) == 1.0
 
 
 def test_color_adherence_exact():
     scene = SceneSpec("circle", "green", (8, 8), 4)
-    layout = render_layout(scene, 16)
+    _, layout = render(scene, 16)
     gen = _colorize(layout, "green")
     ok, mean_rgb = color_adherence(gen, layout, "green")
     assert ok
@@ -69,7 +76,7 @@ def test_color_adherence_exact():
 
 def test_color_adherence_wrong_color():
     scene = SceneSpec("circle", "green", (8, 8), 4)
-    layout = render_layout(scene, 16)
+    _, layout = render(scene, 16)
     gen = _colorize(layout, "blue")
     ok, _ = color_adherence(gen, layout, "green")
     assert not ok

@@ -136,8 +136,6 @@ def test_timestep_embedding_is_sin_cos_pairs():
     assert emb.shape == (2, 8)
     assert np.array_equal(emb[0], [0, 0, 0, 0, 1, 1, 1, 1])
     np.testing.assert_allclose(emb[1, :4] ** 2 + emb[1, 4:] ** 2, 1.0)
-    with pytest.raises(ValueError):
-        timestep_embedding(3, 5, dtype=np.float64)
 
 
 class _Holder:

@@ -10,8 +10,7 @@ from duetdiff.synthdata import (
     generate_dataset,
     make_prompt,
     max_size,
-    render_layout,
-    render_target,
+    render,
     sample_scene,
     shape_mask,
     to_unit,
@@ -21,7 +20,7 @@ from duetdiff.synthdata import (
 def test_full_canvas_square_is_all_color():
     # 9x9 canvas, half-extent 3 centered -> covers rows/cols 1..7 (margin 1)
     scene = SceneSpec("square", "red", (4, 4), 3)
-    img = render_target(scene, 9)
+    img, _ = render(scene, 9)
     fg = to_unit(PALETTE["red"])
     inner = img[:, 1:8, 1:8]
     assert np.allclose(inner, np.array(fg).reshape(3, 1, 1))
@@ -29,7 +28,7 @@ def test_full_canvas_square_is_all_color():
 
 def test_circle_center_and_corner():
     scene = SceneSpec("circle", "blue", (8, 8), 3)
-    img = render_target(scene, 16)
+    img, _ = render(scene, 16)
     assert np.allclose(img[:, 8, 8], to_unit(PALETTE["blue"]))
     assert np.allclose(img[:, 0, 0], to_unit((128, 128, 128)))
 
@@ -44,17 +43,20 @@ def test_circle_area_close_to_analytic(radius):
 def test_layout_matches_target_threshold():
     for shape in SHAPES:
         scene = SceneSpec(shape, "yellow", (7, 8), 4)
-        target = render_target(scene, 16)
-        layout = render_layout(scene, 16)
+        target, layout = render(scene, 16)
+        assert target.shape == (3, 16, 16) and target.dtype == np.float64
+        assert layout.shape == (1, 16, 16) and layout.dtype == np.float64
         bg = to_unit((128, 128, 128)).reshape(3, 1, 1)
         fg_from_target = np.sqrt(((target - bg) ** 2).sum(axis=0)) > 0.25
         assert np.array_equal(fg_from_target, layout[0] > 0)
 
 
 def test_color_change_keeps_layout():
-    a = render_layout(SceneSpec("triangle", "red", (8, 8), 5), 16)
-    b = render_layout(SceneSpec("triangle", "blue", (8, 8), 5), 16)
-    assert np.array_equal(a, b)
+    (red, a), (blue, b) = (render(SceneSpec("triangle", color, (8, 8), 5), 16)
+                           for color in ("red", "blue"))
+    for image, channels in ((red, 3), (blue, 3), (a, 1), (b, 1)):
+        assert image.shape == (channels, 16, 16) and image.dtype == np.float64
+    assert np.array_equal(a, b) and not np.array_equal(red, blue)
 
 
 def test_disjoint_centers_low_iou():
