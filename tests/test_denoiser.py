@@ -47,4 +47,3 @@ def test_timestep_and_condition_change_the_output():
     base = den(x, np.array([10]), cond).data
     assert not np.array_equal(base, den(x, np.array([900]), cond).data)
     assert not np.array_equal(base, den(x, np.array([10]), Tensor(cond.data + 1.0)).data)
-
