@@ -19,14 +19,16 @@ own key, so ``add``, ``reshape``, ``concat`` and the like keep shapes
 only, and an activation that no vjp reads is freed as soon as the forward
 drops it. What a vjp does read is kept, unless one pass over
 it rebuilds it: ``conv2d_nhwc`` gathers its input windows again in the
-backward and ``silu`` recomputes its sigmoid, while ``layer_norm`` keeps
-its normalized input and ``attention`` its softmax weights. Two fused
-records go further and keep only a chain's input: ``norm_silu_conv2d``
-(layer norm, SiLU, conv) keeps ``x`` and the row mean and 1/sigma, and
-rebuilds the normalized input, the affine output and its SiLU;
-``silu_mlp`` (linear, SiLU, linear) keeps ``x`` and rebuilds the hidden
-state and its SiLU (selective recomputation, Korthikanti et al., arXiv
-2205.05198). Each stage's forward and vjp is one array-level helper
+backward, ``silu`` recomputes its sigmoid, and ``attention`` keeps q, k,
+v and the softmax's row max and row sum, not its (B, H, L_q, L_k)
+weights, which it rebuilds with one more Q K^T and exp (FlashAttention's
+backward, Dao et al., arXiv 2205.14135); ``layer_norm`` keeps its
+normalized input. Two fused records go further and keep only a chain's
+input: ``norm_silu_conv2d`` (layer norm, SiLU, conv) keeps ``x`` and the
+row mean and 1/sigma, and rebuilds the normalized input, the affine
+output and its SiLU; ``silu_mlp`` (linear, SiLU, linear) keeps ``x``
+and rebuilds the hidden state and its SiLU (selective recomputation,
+Korthikanti et al., arXiv 2205.05198). Each stage's forward and vjp is one array-level helper
 (``_ln_normalize``, ``_ln_affine``, ``_ln_vjp``, ``_silu``, ``_silu_vjp``,
 ``_conv``, ``_conv_vjp``, ``_linear``, ``_linear_vjp``) that the standalone
 op and the fused record both call, so the rebuilt values and every
@@ -298,12 +300,18 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(m.T).max(axis=0).reshape(a.shape[:-1] + (1,))
 
 
-def _softmax_rows(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Max-shifted softmax over the trailing axis, written to ``out`` (may be ``a``)."""
-    out = np.subtract(a, _row_max(a), out=out)
+def _softmax_rows(a: np.ndarray, out: np.ndarray | None, stats: tuple | None) -> tuple:
+    """``(weights, (row max, row sum))``: the max-shifted softmax of ``a``
+    over the trailing axis, written to ``out`` (may be ``a``) or a new
+    array. Given the ``stats`` of an earlier call on the same ``a``, it
+    rebuilds that call's weights bit for bit without either reduction."""
+    top, total = (_row_max(a), None) if stats is None else stats
+    out = np.subtract(a, top, out=out)
     np.exp(out, out=out)
-    out /= _row_sum(out)
-    return out
+    if total is None:
+        total = _row_sum(out)
+    out /= total
+    return out, (top, total)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +483,7 @@ def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None
 def softmax(x: Tensor) -> Tensor:
     """Max-shifted softmax over the trailing axis."""
     _check_rows("softmax", x)
-    out = _softmax_rows(x.data)
+    out, _ = _softmax_rows(x.data, None, None)
 
     def vjp(g):
         return (out * (g - _row_sum(g * out)),)
@@ -844,8 +852,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
 
     One tape record: the head split, Q K^T times the scale, the
     max-shifted softmax and the product with V all run in numpy inside
-    the op, in that order. Backward is written out by hand from the saved
-    softmax weights. Both the scores and the output are checked for
+    the op, in that order. The record keeps the q, k and v head views and
+    the softmax's row max and row sum, not its weights. The backward
+    rebuilds the weights from them with the forward's own expressions and
+    no reduction, so they equal the forward's bit for bit, and is written
+    out by hand from them. Both the scores and the output are checked for
     non-finite values, and a failure names ``attention``.
     """
     if q.ndim != 3 or k.ndim != 3 or v.ndim != 3:
@@ -875,13 +886,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
         return a.transpose(0, 2, 1, 3).reshape(b, length, d)
 
     qh, kh, vh = heads(q.data, lq), heads(k.data, lk), heads(v.data, lk)
-    weights = np.matmul(qh, kh.transpose(0, 1, 3, 2))
-    weights *= s
+
+    def scores():
+        qk = np.matmul(qh, kh.transpose(0, 1, 3, 2))
+        qk *= s
+        return qk
+
+    weights = scores()
     _assert_finite("attention", weights)
-    _softmax_rows(weights, out=weights)
+    _, stats = _softmax_rows(weights, weights, None)
     out = merge(np.matmul(weights, vh), lq)
 
     def vjp(g):
+        weights = scores()
+        _softmax_rows(weights, weights, stats)
         gh = heads(g, lq)
         gv = merge(np.matmul(weights.transpose(0, 1, 3, 2), gh), lk)
         gs = np.matmul(gh, vh.transpose(0, 1, 3, 2))

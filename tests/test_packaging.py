@@ -204,7 +204,7 @@ def test_every_config_field_is_read_by_the_library():
 
 # Argument defaults plus dataclass fields in src/duetdiff: each is a value a
 # caller may set, and each one nothing sets is a knob to delete.
-SETTABLE = 42
+SETTABLE = 41
 
 
 def _settable() -> list[str]:
@@ -241,7 +241,7 @@ def test_the_settable_value_count_is_pinned():
 
 # Code lines in src/duetdiff: lines that are not blank, a comment or part of a
 # docstring. This is the size that CHANGES.md and ROADMAP.md quote.
-CODE_LINES = 1334
+CODE_LINES = 1342
 
 
 def _code_lines(path: Path) -> int:

@@ -36,7 +36,7 @@ from duetdiff.tensor import (
     tsum,
     upsample2x,
 )
-from duetdiff.tensor import _col_sum, _row_max, _row_sum, _row_windows
+from duetdiff.tensor import _col_sum, _row_max, _row_sum, _row_windows, _softmax_rows
 
 from fdcheck import max_rel_err, numeric_grad
 
@@ -108,6 +108,22 @@ def test_row_max_is_bitwise_numpy_max(dtype, length):
     got = _row_max(x)
     assert got.dtype == dtype and np.array_equal(got, x.max(axis=-1, keepdims=True))
     assert np.array_equal(_row_max(x[0, 0]), x[0, 0].max(keepdims=True))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("length", _REDUCED_LENGTHS)
+def test_softmax_rows_given_its_stats_rebuilds_its_weights_bit_for_bit(dtype, length):
+    # how the attention backward rebuilds its weights. The rows are shifted
+    # off 0, so the saved max does work, and rows longer than 32 take the
+    # halving path of _row_max
+    x = (_rand(Rng(43 + length), (3, 5, length)) + 5.0).astype(dtype)
+    first, stats = _softmax_rows(x, None, None)
+    assert first.dtype == dtype and np.all(stats[0] != 0)
+    again, same = _softmax_rows(x, None, stats)
+    assert np.array_equal(again, first) and same[0] is stats[0] and same[1] is stats[1]
+    in_place = x.copy()
+    _softmax_rows(in_place, in_place, stats)
+    assert np.array_equal(in_place, first)
 
 
 def test_silu_zero():
@@ -786,6 +802,35 @@ def test_the_peak_of_a_level_0_conv_forward_and_backward_stays_under_its_pin():
             f"a level-0 {kh}x{kh} stride-{stride} conv forward and backward peaks at "
             f"{peak / 1e6:.2f} MB, over the {pin / 1e6} MB pin: allocate less, or move "
             f"CONV_PEAK_BYTES_PINS in the same diff and say why in CHANGES.md")
+
+
+# an attention record keeps q, k, v and two statistics per row, not its
+# (B, H, L_q, L_k) softmax weights: at this float64 shape the weights are
+# 262 KB against 98 KB of q, k and v, so a record that kept them again
+# holds more than this pin (262 KB plus its 33 KB output while it did)
+ATTENTION_SHAPE, ATTENTION_HEADS = (4, 64, 16), 2
+ATTENTION_HELD_BYTES_PIN = 4 * ATTENTION_HEADS * 64 * 64 * 8  # (B, H, L_q, L_k) float64
+
+
+def test_an_attention_record_holds_less_than_its_softmax_weights():
+    rng = Rng(38)
+    q, k, v = (Tensor(_rand(rng, ATTENTION_SHAPE), requires_grad=True) for _ in range(3))
+    attention(q, k, v, ATTENTION_HEADS)  # lazy set-up outside the count
+    tracemalloc.start()
+    try:
+        with GradTape() as tape:
+            out = attention(q, k, v, ATTENTION_HEADS)
+            held = tracemalloc.get_traced_memory()[0]
+            loss = tsum(out)
+    finally:
+        tracemalloc.stop()
+    grads = tape.backward(loss)
+    assert grads[q].shape == grads[k].shape == grads[v].shape == ATTENTION_SHAPE
+    assert held < ATTENTION_HELD_BYTES_PIN, (
+        f"an attention forward under a tape leaves {held / 1e3:.0f} KB live, over the "
+        f"{ATTENTION_HELD_BYTES_PIN / 1e3:.0f} KB its softmax weights take: rebuild them in "
+        f"the backward, or move ATTENTION_HELD_BYTES_PIN in the same diff and say why in "
+        f"CHANGES.md")
 
 
 @pytest.mark.parametrize("case", range(20))
