@@ -36,7 +36,7 @@ from .denoiser import Denoiser, DenoiserConfig
 from .diffusion import NoiseSchedule
 from .nn import named_params
 from .rng import Rng
-from .tensor import Tensor
+from .tensor import Tensor, check_entries
 
 
 @dataclass(frozen=True)
@@ -147,14 +147,7 @@ class DiffusionModel:
         was. Names the model does not register are ignored.
         """
         targets = {name: t.data for name, t in self._tensors().items()}
-        for name, dst in targets.items():
-            if name not in tensors:
-                raise KeyError(f"checkpoint missing '{name}'")
-            src = np.asarray(tensors[name])
-            if src.shape != dst.shape:
-                raise ValueError(f"shape mismatch for '{name}': {src.shape} vs {dst.shape}")
-            if not np.all(np.isfinite(src)):
-                raise ValueError(f"non-finite values in '{name}'")
+        check_entries("load_tensors: entry", tensors, {name: dst.shape for name, dst in targets.items()})
         for name, dst in targets.items():
             dst[...] = tensors[name]
 

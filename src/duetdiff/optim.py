@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import NonFiniteError, ShapeError, Tensor
+from .tensor import NonFiniteError, Tensor, check_entries
 
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
@@ -37,23 +37,10 @@ class Adam:
         no parameter may lack one. A failure names the entries at fault and
         leaves the parameters, the moments and ``step_count`` as they were.
         """
-        for name, g in grads.items():
+        for name in grads:
             if name not in self.params:
                 raise KeyError(f"adam: gradient for unknown parameter '{name}'")
-            if g.shape != self.params[name].data.shape:
-                raise ShapeError(f"adam: gradient shape {g.shape} != param shape "
-                                 f"{self.params[name].data.shape} for '{name}'")
-        missing = [name for name in self.params if name not in grads]
-        if missing:
-            raise KeyError("adam: no gradient for parameter " + ", ".join(f"'{n}'" for n in missing))
-        # one screen over every entry: a sum of squares is NaN or +Inf when any
-        # value is, and may overflow on finite values, so confirm entry by entry
-        with np.errstate(over="ignore"):
-            screen = sum(np.vdot(g, g) for g in grads.values())
-        if not np.isfinite(screen):
-            for name, g in grads.items():
-                if not np.isfinite(g).all():
-                    raise NonFiniteError(f"adam: gradient '{name}' has non-finite values")
+        check_entries("adam: gradient", grads, {name: p.data.shape for name, p in self.params.items()})
         self.step_count += 1
         c1 = 1.0 - _BETA1 ** self.step_count
         c2 = 1.0 - _BETA2 ** self.step_count
@@ -70,25 +57,19 @@ class Adam:
     def load_state(self, m: dict[str, np.ndarray], v: dict[str, np.ndarray], step_count: int) -> None:
         """Replace the moments and the step count.
 
-        Every entry is checked before any is copied: each ``m`` and ``v``
-        must have its parameter's shape and finite values, each ``v`` must
+        Every entry is checked before any is copied: each parameter needs an
+        ``m`` and a ``v`` of its shape with finite values, each ``v`` must
         be >= 0, and ``step_count`` an integer >= 0. A failure names the
         entry and leaves the state as it was.
         """
         if not isinstance(step_count, (int, np.integer)) or step_count < 0:
             raise ValueError(f"adam: step_count must be an integer >= 0, got {step_count!r}")
-        for name, param in self.params.items():
-            for label, state in (("m", m), ("v", v)):
-                if name not in state:
-                    raise KeyError(f"adam: missing optimizer state {label} for '{name}'")
-                arr = np.asarray(state[name])
-                if arr.shape != param.data.shape:
-                    raise ValueError(f"adam: {label} shape {arr.shape} != param shape "
-                                     f"{param.data.shape} for '{name}'")
-                if not np.all(np.isfinite(arr)):
-                    raise ValueError(f"adam: non-finite values in {label} for '{name}'")
-                if label == "v" and np.any(arr < 0):
-                    raise ValueError(f"adam: negative values in v for '{name}'")
+        shapes = {name: p.data.shape for name, p in self.params.items()}
+        check_entries("adam: m", m, shapes)
+        check_entries("adam: v", v, shapes)
+        for name in self.params:
+            if np.any(np.asarray(v[name]) < 0):
+                raise ValueError(f"adam: negative values in v for '{name}'")
         for name in self.params:
             self.m[name] = np.array(m[name], dtype=self.m[name].dtype)
             self.v[name] = np.array(v[name], dtype=self.v[name].dtype)
@@ -112,9 +93,7 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
             flat = g.astype(np.float64, copy=False).reshape(-1)
             total += float(flat @ flat)
     if not np.isfinite(total):
-        for name, g in grads.items():
-            if not np.isfinite(g).all():
-                raise NonFiniteError(f"clip_global_norm: gradient '{name}' has non-finite values")
+        check_entries("clip_global_norm: gradient", grads, {name: g.shape for name, g in grads.items()})
         raise NonFiniteError("clip_global_norm: the gradient norm overflows float64")
     norm = float(np.sqrt(total))
     if norm > max_norm:

@@ -69,12 +69,13 @@ import numpy as np
 # glibc's default allocator raises its mmap threshold to the largest block
 # freed so far and trims the heap top whenever twice that is free, so how
 # often freed activations go back to the OS, to be faulted in again on the
-# next step, follows the history of the heap, not the code. In the
-# benchmark loop (2 cores) a 16-image guided sample took 28 to 25,000 minor
-# faults, and a B=16 train step 20-200 while records kept their inputs but
-# about 4,600 once they stopped. With both thresholds fixed once, blocks
-# under 32 MiB come from the heap and up to 64 MiB of free heap top is
-# kept: 1-3 faults per train step and 14-42 per sample.
+# next step, follows the history of the heap, not the code. With both
+# thresholds fixed once, blocks under 32 MiB come from the heap and up to
+# 64 MiB of free heap top is kept. After set-up and warm-up (2 cores), a
+# 16-image guided sample took 0 minor faults with this call in 6 of 6
+# processes and 50,880 without it in 5 of 6; a B=16 train step took 0-123
+# (median 3) with it and 789-3,711 without it, in 3 processes each. It
+# stays at import until the benchmark's runner can make the call itself.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
@@ -90,7 +91,7 @@ class ShapeError(ValueError):
 
 
 class NonFiniteError(FloatingPointError):
-    """An op produced NaN or Inf; the message names the op."""
+    """An op produced NaN or Inf, or a named entry holds one; the message names it."""
 
 
 class TapeError(RuntimeError):
@@ -103,17 +104,27 @@ _ACTIVE = None  # the GradTape that is recording, if any
 
 
 def _assert_finite(op: str, data: np.ndarray) -> None:
-    if not data.size:
-        return
-    # one-pass screen: the sum of squares has no terms that cancel, so a NaN
-    # gives NaN and an Inf of either sign +Inf. It can also overflow on finite
-    # values, so confirm with the exact check before raising. ``vdot`` raises
-    # no floating-point warning, so no ``errstate`` is entered per call
-    flat = data.reshape(-1)
-    screen = np.vdot(flat, flat)
-    if not np.isfinite(screen):
-        if not (np.isfinite(data.min()) and np.isfinite(data.max())):
-            raise NonFiniteError(f"{op} produced non-finite values")
+    if not np.isfinite(data).all():
+        raise NonFiniteError(f"{op} produced non-finite values")
+
+
+def check_entries(what: str, arrays: dict, shapes: dict[str, tuple]) -> None:
+    """Check the arrays a caller takes by name before it changes anything.
+
+    Every name in ``shapes`` must be in ``arrays`` (``KeyError`` listing
+    every missing name), and its entry must have that shape (``ShapeError``)
+    and finite values (``NonFiniteError``). Other names in ``arrays`` are
+    not looked at. Each message starts with ``what``.
+    """
+    missing = [name for name in shapes if name not in arrays]
+    if missing:
+        raise KeyError(f"{what} missing for " + ", ".join(f"'{name}'" for name in missing))
+    for name, shape in shapes.items():
+        arr = np.asarray(arrays[name])
+        if arr.shape != shape:
+            raise ShapeError(f"{what} '{name}' has shape {arr.shape}, expected {shape}")
+        if not np.isfinite(arr).all():
+            raise NonFiniteError(f"{what} '{name}' has non-finite values")
 
 
 class Tensor:

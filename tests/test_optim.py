@@ -46,21 +46,26 @@ def test_shape_mismatch_rejected():
 
 
 @pytest.mark.parametrize("bad, error, message", [
-    ({"p": np.ones(3)}, ShapeError, r"gradient shape \(3,\) != param shape \(1, 3\) for 'p'"),
+    ({"p": np.ones(3)}, ShapeError, r"gradient 'p' has shape \(3,\), expected \(1, 3\)"),
     ({"p": np.array([[1.0, np.nan, 0.0]])}, NonFiniteError, r"gradient 'p' has non-finite values"),
     ({"p": np.array([[1.0, 0.0, -np.inf]])}, NonFiniteError, r"gradient 'p' has non-finite values"),
     # 'p' is missing here too: the unknown-name check runs before the missing-name one
     ({"q": np.ones(2)}, KeyError, r"gradient for unknown parameter 'q'"),
-    ({}, KeyError, r"no gradient for parameter 'p'"),
-], ids=["shape", "nan", "inf", "unknown-name", "missing-name"])
+    ({"p": np.ones((1, 3)), "q": np.ones(2)}, KeyError, r"gradient for unknown parameter 'q'"),
+    ({}, KeyError, r"gradient missing for 'p'"),
+    ({"a": None}, KeyError, r"gradient missing for 'a', 'p'"),
+], ids=["shape", "nan", "inf", "unknown-name", "unknown-name-and-every-parameter",
+        "missing-name", "every-name-missing"])
 def test_adam_step_checks_every_gradient_before_updating_any(bad, error, message):
     # 'a' comes first, so a check made inside the update loop would fail
-    # only after 'a', its moments and the step count had moved
+    # only after 'a', its moments and the step count had moved; a None
+    # entry drops that name
     opt = _stepped_adam()
     before = {name: (p.data.copy(), opt.m[name].copy(), opt.v[name].copy())
               for name, p in opt.params.items()}
+    grads = {name: g for name, g in {"a": np.array([0.5, -1.0]), **bad}.items() if g is not None}
     with pytest.raises(error, match=rf"adam: {message}"):
-        opt.step({"a": np.array([0.5, -1.0]), **bad})
+        opt.step(grads)
     assert opt.step_count == 1
     for name, p in opt.params.items():
         for got, want in zip((p.data, opt.m[name], opt.v[name]), before[name]):
@@ -92,27 +97,31 @@ def _stepped_adam():
     return opt
 
 
-@pytest.mark.parametrize("entry, bad, message", [
-    ("m", np.array([[np.nan, 0.0, 0.0]]), r"non-finite values in m for 'p'"),
-    ("v", np.array([[0.0, np.inf, 0.0]]), r"non-finite values in v for 'p'"),
-    ("v", np.array([[0.0, -1.0, 0.0]]), r"negative values in v for 'p'"),
-    ("m", np.zeros(3), r"m shape \(3,\) != param shape \(1, 3\) for 'p'"),
-    ("v", np.zeros((3, 1)), r"v shape \(3, 1\) != param shape \(1, 3\) for 'p'"),
-    ("step_count", -7, r"step_count must be an integer >= 0, got -7"),
-    ("step_count", -1, r"step_count must be an integer >= 0, got -1"),
-    ("step_count", 2.5, r"step_count must be an integer >= 0, got 2.5"),
-], ids=["nan-m", "inf-v", "negative-v", "m-shape", "v-shape", "step-count--7",
+@pytest.mark.parametrize("entry, bad, error, message", [
+    ("m", np.array([[np.nan, 0.0, 0.0]]), NonFiniteError, r"m 'p' has non-finite values"),
+    ("v", np.array([[0.0, np.inf, 0.0]]), NonFiniteError, r"v 'p' has non-finite values"),
+    ("v", np.array([[0.0, -1.0, 0.0]]), ValueError, r"negative values in v for 'p'"),
+    ("m", np.zeros(3), ShapeError, r"m 'p' has shape \(3,\), expected \(1, 3\)"),
+    ("v", np.zeros((3, 1)), ShapeError, r"v 'p' has shape \(3, 1\), expected \(1, 3\)"),
+    ("m", None, KeyError, r"m missing for 'p'"),
+    ("step_count", -7, ValueError, r"step_count must be an integer >= 0, got -7"),
+    ("step_count", -1, ValueError, r"step_count must be an integer >= 0, got -1"),
+    ("step_count", 2.5, ValueError, r"step_count must be an integer >= 0, got 2.5"),
+], ids=["nan-m", "inf-v", "negative-v", "m-shape", "v-shape", "missing-m", "step-count--7",
         "step-count--1", "float-step-count"])
-def test_adam_load_state_checks_every_entry_before_copying_any(entry, bad, message):
+def test_adam_load_state_checks_every_entry_before_copying_any(entry, bad, error, message):
     opt = _stepped_adam()
     before = ({k: a.copy() for k, a in opt.m.items()}, {k: a.copy() for k, a in opt.v.items()})
     state = {"m": {"a": np.full(2, 0.5), "p": np.zeros((1, 3))},
              "v": {"a": np.full(2, 0.5), "p": np.zeros((1, 3))}, "step_count": 3}
     if entry == "step_count":
         state[entry] = bad
+    elif bad is None:
+        del state[entry]["p"]
     else:
         state[entry]["p"] = bad
-    with pytest.raises(ValueError, match=rf"^adam: {message}"):
+    # a KeyError's str() is the repr of its message, so the anchor allows a quote
+    with pytest.raises(error, match=rf"^[\"']?adam: {message}"):
         opt.load_state(state["m"], state["v"], state["step_count"])
     assert opt.step_count == 1
     for name in ("a", "p"):

@@ -241,7 +241,7 @@ def test_the_settable_value_count_is_pinned():
 
 # Code lines in src/duetdiff: lines that are not blank, a comment or part of a
 # docstring. This is the size that CHANGES.md and ROADMAP.md quote.
-CODE_LINES = 1342
+CODE_LINES = 1321
 
 
 def _code_lines(path: Path) -> int:

@@ -17,6 +17,7 @@ from duetdiff.tensor import (
     Tensor,
     add,
     attention,
+    check_entries,
     concat,
     conv2d,
     conv2d_nhwc,
@@ -214,8 +215,8 @@ def test_nonfinite_output_raises():
         mul(big, big)
 
 
-# the screen's sum of squares is NaN for a NaN and +Inf for an Inf of either
-# sign; 1e20 squared overflows float32 but is finite, so it must not raise
+# NaN and an Inf of either sign each raise; 1e20 squared overflows float32
+# but is finite, so it must not raise
 @pytest.mark.filterwarnings("ignore:overflow")
 @pytest.mark.parametrize("op, x, name", [
     (lambda t: matmul(t, Tensor([[1e308], [-1e308]])), [[1e308, 1e308]], "matmul"),
@@ -227,14 +228,54 @@ def test_a_nan_or_inf_op_output_raises_naming_the_op(op, x, name):
         op(Tensor(x))
 
 
-# the screen runs under pytest's filterwarnings = error, so a numpy whose
-# vdot warned on overflow would fail here
+# the check runs under pytest's filterwarnings = error, so a check that
+# warned on overflow would fail here
 def test_a_finite_output_whose_squares_overflow_does_not_raise():
     for values in ([1e20, -1.0], [3.0e38, -3.0e38, 1.0]):
         x = np.array(values, dtype=np.float32)
         with np.errstate(over="ignore"):
             assert not np.isfinite(np.dot(x, x))
         assert np.array_equal(scale(Tensor(x), 1.0).data, x)
+
+
+@pytest.fixture
+def no_blas_dot(monkeypatch):
+    """Make ``np.vdot`` and ``np.dot`` raise, so a finite check that calls them fails."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a finite check called BLAS")
+    monkeypatch.setattr(np, "vdot", refuse)
+    monkeypatch.setattr(np, "dot", refuse)
+
+
+# a float64 dot of 16,384 values or more can reach OpenBLAS's threaded path,
+# which took about 8 ms per call in some processes before any GEMM had run
+@pytest.mark.parametrize("x", [
+    np.linspace(-1.0, 1.0, 20_000),
+    np.full(20_000, 1e200),
+    np.empty(0),
+    np.array(2.5),
+], ids=["finite", "squares-overflow", "empty", "0-d"])
+def test_finite_values_pass_every_finite_check_without_blas(no_blas_dot, x):
+    assert np.array_equal(scale(Tensor(x), 1.0).data, x)
+    check_entries("test", {"x": x}, {"x": x.shape})
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
+@pytest.mark.parametrize("bad, op, name", [
+    (np.nan, lambda x: matmul(Tensor(x.reshape(1, -1)), Tensor(np.abs(x).reshape(-1, 1))), "matmul"),
+    (np.inf, lambda x: scale(Tensor(x), 10.0), "scale"),
+    (-np.inf, lambda x: scale(Tensor(x), -10.0), "scale"),
+], ids=["nan", "+inf", "-inf"])
+def test_non_finite_values_fail_every_finite_check_without_blas(no_blas_dot, bad, op, name):
+    x = np.full(20_000, 1e308)
+    x[1::2] *= -1.0
+    with pytest.raises(NonFiniteError, match=rf"^{name} produced non-finite values$"):
+        op(x)
+    x[-1] = bad
+    with pytest.raises(NonFiniteError, match=r"^tensor produced non-finite values$"):
+        Tensor(x)
+    with pytest.raises(NonFiniteError, match=r"^test 'x' has non-finite values$"):
+        check_entries("test", {"x": x}, {"x": x.shape})
 
 
 def test_conv2d_identity_kernel():
