@@ -247,8 +247,8 @@ def no_blas_dot(monkeypatch):
     monkeypatch.setattr(np, "dot", refuse)
 
 
-# a float64 dot of 16,384 values or more can reach OpenBLAS's threaded path,
-# which took about 8 ms per call in some processes before any GEMM had run
+# a float64 dot of more than 10,000 values can reach OpenBLAS's threaded
+# path, which took about 8 ms per call in some fresh processes
 @pytest.mark.parametrize("x", [
     np.linspace(-1.0, 1.0, 20_000),
     np.full(20_000, 1e200),
